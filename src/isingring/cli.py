@@ -188,7 +188,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_ed_check(args) -> int:
-    grid = _time_grid(0.0, args.t_max, args.t_max / max(1, args.points - 1))
+    if args.points < 1:
+        raise SystemExit("error: --points must be at least 1")
+    if args.points > 1 and args.t_max <= 0:
+        raise SystemExit("error: --t-max must be positive when --points > 1")
+    grid = np.linspace(0.0, args.t_max, args.points)
     config = QuenchConfig(args.n_sites, args.g, grid)
     oracle = quench_oracle(args.n_sites, args.g)
     worst: dict[str, float] = {}

@@ -11,14 +11,16 @@ they live entirely on the cross terms,
     <c_j> = ( exp(-i pi/4) <phi_+| c_j |phi_->
             + exp(+i pi/4) <phi_-| c_j |phi_+> ) / 2,
 
-which mix the antiperiodic and periodic fermion vacua.  The two sector
+which mix the antiperiodic and periodic fermion vacua.  The second term
+is the complex conjugate of <phi_+| c+_j |phi_->, so both come from one
+bra/ket pair with either c_j or c+_j inserted.  The two sector
 states are Gaussian but built on different momentum grids, so the usual
 same-grid mode bookkeeping does not apply.  The evaluation used here goes
 through Wick's theorem directly:
 
 * each evolved pair factor is linearized on the pair vacuum,
       (u_k + v_k c+_k c+_{-k}) |vac> = (u_k c_{-k} + v_k c+_k) c+_{-k} |vac>,
-  so bra, inserted c_j and ket together form an ordered product of 2N
+  so bra, inserted operator and ket together form an ordered product of 2N
   linear forms in the real-space modes c_l, c+_l;
 * the vacuum expectation of that product is the Pfaffian of the matrix of
   pairwise contractions <A_mu A_nu> = alpha_mu . beta_nu (mu < nu), where
@@ -32,15 +34,15 @@ exp(2it) phase of the odd sector enters through ModeAmplitudes.phase.
 
 The contraction matrix factorizes into a time-independent core (Fourier
 overlaps between the two grids) scaled by the time-dependent amplitudes
-on each row and column, so a ring size costs one O(N^3) core build, after
-which every (time, site) evaluation is one O(N^2) assembly plus one
-Pfaffian.  Whole time series are pushed through the batched Pfaffian in
-chunks; the scalar Pfaffian remains the reference implementation.
+on each row and column, so a ring size costs one O(N^3) core build.  Per
+chunk of times the scaled matrix is assembled once; each site then only
+writes the row of c_j or the column of c+_j into the inserted operator's
+slot, and each (time, site) costs two Pfaffians, pushed through the
+batched elimination for the whole chunk at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,133 +54,85 @@ from .pfaffian import pfaffian_batch
 CHUNK_ELEMS = 2_000_000
 
 
-@dataclass
-class _DirectionCore:
-    """Static data of one cross matrix element <bra| c_j |ket>.
-
-    `core` holds the Fourier part of all pairwise contractions; `fb` keeps
-    the creation-coefficient rows so the inserted c_j row of the
-    contraction matrix can be read off per site.  Index arrays locate the
-    rows whose amplitude scaling changes with time.
-    """
-
-    core: np.ndarray        # (2N, 2N) complex, fA . fB overlaps
-    fb: np.ndarray          # (2N, N) creation coefficient rows
-    slot: int               # row of the inserted operator
-    a_scale: np.ndarray     # template annihilation amplitudes (2N,)
-    b_scale: np.ndarray     # template creation amplitudes (2N,)
-    bra_bdag_rows: np.ndarray
-    ket_b_rows: np.ndarray
-
-
-def _direction_core(n_sites: int, bra_sector: str, ket_sector: str) -> _DirectionCore:
-    """Build the time-independent contraction core of one direction."""
-    even, odd = momentum_grids(n_sites)
-    grids = {EVEN: even.positive, ODD: odd.positive}
-    k_bra = grids[bra_sector]
-    k_ket = grids[ket_sector]
-    sites = np.arange(1, n_sites + 1)
-    omega = np.exp(-1j * np.pi / 4) / np.sqrt(n_sites)
-
-    def plane(k, sign):
-        return np.exp(sign * 1j * np.outer(k, sites))
-
-    rows_fa, rows_fb = [], []
-    zero = np.zeros((1, n_sites), dtype=complex)
-
-    # bra pairs, reversed momentum order: conj(C_k) then conj(B_k) per pair
-    kb = k_bra[::-1]
-    e_plus_b, e_minus_b = plane(kb, +1), plane(kb, -1)
-    for i in range(kb.size):
-        rows_fa += [omega * e_plus_b[i:i + 1], omega * e_minus_b[i:i + 1]]
-        rows_fb += [zero, omega.conjugate() * e_minus_b[i:i + 1]]
-    bra_bdag_rows = 2 * np.arange(kb.size) + 1
-    pos = 2 * kb.size
-
-    if bra_sector == ODD:                       # trailing c_0 of the bra
-        rows_fa.append(omega * np.ones((1, n_sites), dtype=complex))
-        rows_fb.append(zero)
-        pos += 1
-
-    slot = pos                                  # inserted c_j, filled per site
-    rows_fa.append(zero)
-    rows_fb.append(zero)
-    pos += 1
-
-    if ket_sector == ODD:                       # leading c+_0 of the ket
-        rows_fa.append(zero)
-        rows_fb.append(omega.conjugate() * np.ones((1, n_sites), dtype=complex))
-        pos += 1
-
-    ket_b_rows = pos + 2 * np.arange(k_ket.size)
-    e_plus_k, e_minus_k = plane(k_ket, +1), plane(k_ket, -1)
-    for i in range(k_ket.size):                 # ket pairs: B_k then C_k
-        rows_fa += [omega * e_plus_k[i:i + 1], zero]
-        rows_fb += [omega.conjugate() * e_plus_k[i:i + 1],
-                    omega.conjugate() * e_minus_k[i:i + 1]]
-
-    fa = np.concatenate(rows_fa, axis=0)
-    fb = np.concatenate(rows_fb, axis=0)
-    if fa.shape[0] != 2 * n_sites:
-        raise AssertionError("factor count must be 2N")
-
-    m = fa.shape[0]
-    a_scale = np.zeros(m, dtype=complex)
-    b_scale = np.zeros(m, dtype=complex)
-    a_scale[0:2 * kb.size:2] = 1.0              # conj(C) rows annihilate
-    b_scale[ket_b_rows + 1] = 1.0               # C rows create
-    if bra_sector == ODD:
-        a_scale[2 * kb.size] = 1.0
-    if ket_sector == ODD:
-        b_scale[slot + 1] = 1.0
-
-    return _DirectionCore(
-        core=fa @ fb.T,
-        fb=fb,
-        slot=slot,
-        a_scale=a_scale,
-        b_scale=b_scale,
-        bra_bdag_rows=bra_bdag_rows,
-        ket_b_rows=ket_b_rows,
-    )
-
-
 class CrossParityKernel:
     """Evaluator of <c_j> on a ring of fixed size.
 
-    Builds both direction cores once; `c_series` then needs only the mode
-    amplitudes of the two sectors along the time grid.
+    Builds the contraction core of <phi_+| . |phi_-> once; `c_series` then
+    needs only the mode amplitudes of the two sectors along the time grid.
+    Both cross terms come from that one core: inserting c_j gives
+    <phi_+| c_j |phi_->, and inserting c+_j gives <phi_+| c+_j |phi_->,
+    the complex conjugate of <phi_-| c_j |phi_+>.
+
+    `core` holds the Fourier part of all pairwise contractions; `fa`/`fb`
+    keep the annihilation/creation coefficient rows so the slot row (c_j)
+    or slot column (c+_j) of the contraction matrix can be read off per
+    site.  Index arrays locate the rows whose amplitude scaling changes
+    with time.
     """
 
     def __init__(self, n_sites: int):
-        self.n_sites = int(n_sites)
-        self._pm = _direction_core(n_sites, EVEN, ODD)   # <phi_+| c_j |phi_->
-        self._mp = _direction_core(n_sites, ODD, EVEN)   # <phi_-| c_j |phi_+>
+        self.n_sites = n = int(n_sites)
+        even, odd = momentum_grids(n)
+        k_bra = even.positive[::-1]             # bra pairs, reversed order
+        k_ket = odd.positive
+        sites = np.arange(1, n + 1)
+        omega = np.exp(-1j * np.pi / 4) / np.sqrt(n)
+        slot = 2 * k_bra.size                   # inserted operator, per site
+        ket_b_rows = slot + 2 + 2 * np.arange(k_ket.size)
 
-    def _matrix_elements(self, d: _DirectionCore, bra_u, bra_v, ket_u, ket_v,
-                         sites) -> np.ndarray:
-        """Pfaffian values of one direction, shape (times, sites)."""
-        n_t = bra_u.shape[0]
-        a_all = np.tile(d.a_scale, (n_t, 1))
-        b_all = np.tile(d.b_scale, (n_t, 1))
-        a_all[:, d.bra_bdag_rows] = bra_v.conj()[:, ::-1]
-        b_all[:, d.bra_bdag_rows] = bra_u.conj()[:, ::-1]
-        a_all[:, d.ket_b_rows] = ket_u
-        b_all[:, d.ket_b_rows] = ket_v
-        m = d.core.shape[0]
-        out = np.empty((n_t, len(sites)), dtype=complex)
+        bra_p, bra_m = (np.exp(sign * 1j * np.outer(k_bra, sites)) for sign in (1, -1))
+        ket_p, ket_m = (np.exp(sign * 1j * np.outer(k_ket, sites)) for sign in (1, -1))
+        fa = np.zeros((2 * n, n), dtype=complex)
+        fb = np.zeros((2 * n, n), dtype=complex)
+        fa[0:slot:2] = omega * bra_p            # bra pairs: conj(C_k) ...
+        fa[1:slot:2] = omega * bra_m            # ... then conj(B_k)
+        fb[1:slot:2] = omega.conjugate() * bra_m
+        fb[slot + 1] = omega.conjugate()        # leading c+_0 of the ket
+        fa[ket_b_rows] = omega * ket_p          # ket pairs: B_k then C_k
+        fb[ket_b_rows] = omega.conjugate() * ket_p
+        fb[ket_b_rows + 1] = omega.conjugate() * ket_m
+
+        self.a_scale = np.zeros(2 * n, dtype=complex)
+        self.b_scale = np.zeros(2 * n, dtype=complex)
+        self.a_scale[0:slot:2] = 1.0            # conj(C) rows annihilate
+        self.b_scale[ket_b_rows + 1] = 1.0      # C rows create
+        self.b_scale[slot + 1] = 1.0
+        self.core = fa @ fb.T
+        self.fa, self.fb = fa, fb
+        self.slot = slot
+        self.bra_bdag_rows = 2 * np.arange(k_bra.size) + 1
+        self.ket_b_rows = ket_b_rows
+
+    def _matrix_elements(self, eu, ev, ou, ov, sites):
+        """Pfaffians with c_j and with c+_j in the slot, each (times, sites)."""
+        n_t = eu.shape[0]
+        a_all = np.tile(self.a_scale, (n_t, 1))
+        b_all = np.tile(self.b_scale, (n_t, 1))
+        a_all[:, self.bra_bdag_rows] = ev.conj()[:, ::-1]
+        b_all[:, self.bra_bdag_rows] = eu.conj()[:, ::-1]
+        a_all[:, self.ket_b_rows] = ou
+        b_all[:, self.ket_b_rows] = ov
+        m, slot = self.core.shape[0], self.slot
+        pf_c = np.empty((n_t, len(sites)), dtype=complex)
+        pf_cdag = np.empty_like(pf_c)
         step = max(1, CHUNK_ELEMS // (m * m))
         for start in range(0, n_t, step):
             sl = slice(start, min(start + step, n_t))
-            g0 = a_all[sl, :, None] * d.core[None, :, :] * b_all[sl, None, :]
+            a, b = a_all[sl], b_all[sl]
+            # slot row and column are zero here: a_scale and b_scale vanish there
+            s = np.triu(a[:, :, None] * self.core[None, :, :] * b[:, None, :], 1)
+            s -= np.transpose(s, (0, 2, 1))
+            c_row, cdag_row = np.zeros_like(a), np.zeros_like(a)
             for si, j in enumerate(sites):
-                g = g0.copy()
-                g[:, d.slot, :] = b_all[sl] * d.fb[:, j - 1][None, :]
-                g[:, d.slot, d.slot] = 0.0
-                s = np.triu(g, 1)
-                s -= np.transpose(s, (0, 2, 1))
-                out[sl, si] = pfaffian_batch(s)
-        return out
+                # c_j fills the slot row right of the slot, c+_j the column
+                # above it; the slot row is stored and its column is -row
+                c_row[:, slot + 1:] = b[:, slot + 1:] * self.fb[slot + 1:, j - 1]
+                cdag_row[:, :slot] = -a[:, :slot] * self.fa[:slot, j - 1]
+                for row, out in ((c_row, pf_c), (cdag_row, pf_cdag)):
+                    s[:, slot, :] = row
+                    s[:, :, slot] = -row
+                    out[sl, si] = pfaffian_batch(s)
+        return pf_c, pf_cdag
 
     def c_series(self, amps_pairs, sites=(1, 2)) -> np.ndarray:
         """<c_j> for each (even, odd) amplitude pair; shape (times, sites)."""
@@ -198,9 +152,9 @@ class CrossParityKernel:
         ou = np.array([o.u for _, o in amps_pairs])
         ov = np.array([o.v for _, o in amps_pairs])
         phase = np.array([o.phase for _, o in amps_pairs])
-        m_pm = phase[:, None] * self._matrix_elements(self._pm, eu, ev, ou, ov, sites)
-        m_mp = phase.conj()[:, None] * self._matrix_elements(self._mp, ou, ov, eu, ev, sites)
-        return 0.5 * (RELATIVE_PHASE * m_pm + np.conj(RELATIVE_PHASE) * m_mp)
+        pf_c, pf_cdag = self._matrix_elements(eu, ev, ou, ov, sites)
+        w = (RELATIVE_PHASE * phase)[:, None]
+        return 0.5 * (w * pf_c + np.conj(w * pf_cdag))
 
     def c_expectations(self, even: ModeAmplitudes, odd: ModeAmplitudes,
                        sites=(1, 2)) -> np.ndarray:

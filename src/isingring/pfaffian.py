@@ -83,16 +83,17 @@ def pfaffian(m) -> complex:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] % 2:
         raise ValueError(f"dimension must be even, got {a.shape[0]}")
-    return _pfaffian_inplace(a.astype(complex, copy=True))
+    return complex(pfaffian_batch(a[None])[0])
 
 
 def pfaffian_batch(mats: np.ndarray) -> np.ndarray:
     """Pfaffians of a stack of skew-symmetric matrices, shape (B, n, n).
 
-    Same pivoted elimination as `pfaffian`, advanced in lockstep across
-    the batch so the per-step numpy overhead is shared.  Stacks whose
-    pivot column vanishes are retired with Pfaffian 0 and dragged along
-    inertly (their pivot is replaced by 1 to keep the arithmetic finite).
+    The pivoted elimination described in the module docstring, advanced
+    in lockstep across the batch so the per-step numpy overhead is shared;
+    `pfaffian` is the batch of one.  Stacks whose pivot column vanishes
+    are retired with Pfaffian 0 and dragged along inertly (their pivot is
+    replaced by 1 to keep the arithmetic finite).
     """
     a = np.asarray(mats)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -145,36 +146,3 @@ def pfaffian_batch(mats: np.ndarray) -> np.ndarray:
             a[:, k + 2:, k + 2:] += upd
     return pf
 
-
-def _pfaffian_inplace(a: np.ndarray) -> complex:
-    """Destructive Pfaffian of a complex array known to be skew-symmetric."""
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0j
-    pf = 1.0 + 0j
-    for k in range(0, n, 2):
-        # largest pivot in column k below the diagonal
-        col = _l1_abs(a[k + 1:, k])
-        p = k + 1 + int(np.argmax(col))
-        piv = col[p - k - 1]
-        if piv == 0.0:
-            return 0.0 + 0j
-        if piv < PIVOT_GUARD:
-            warnings.warn(
-                f"pivot {piv:.3e} below underflow guard; returning 0",
-                PfaffianConditionWarning,
-                stacklevel=3,
-            )
-            return 0.0 + 0j
-        if p != k + 1:
-            a[[k + 1, p], :] = a[[p, k + 1], :]
-            a[:, [k + 1, p]] = a[:, [p, k + 1]]
-            pf = -pf
-        b = a[k, k + 1]
-        pf *= b
-        if k + 2 < n:
-            c1 = a[k + 2:, k]
-            c2 = a[k + 2:, k + 1]
-            # Schur complement of the 2x2 pivot block [[0, b], [-b, 0]]
-            a[k + 2:, k + 2:] += (np.outer(c2, c1) - np.outer(c1, c2)) / b
-    return pf

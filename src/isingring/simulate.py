@@ -91,13 +91,6 @@ def _order_rows(config: QuenchConfig, times, sites) -> list[tuple]:
     return [(float(t), *longitudinal_magnetization(c)) for t, c in zip(times, c1)]
 
 
-_ROW_BUILDERS = {
-    "full": _full_rows,
-    "string": _string_rows,
-    "order": _order_rows,
-}
-
-
 def observables_at(config: QuenchConfig, t: float) -> dict[str, float]:
     """All series columns at a single time, keyed by column name."""
     (row,) = _full_rows(config, [t], ())
@@ -105,8 +98,8 @@ def observables_at(config: QuenchConfig, t: float) -> dict[str, float]:
 
 
 def _worker(task) -> list[tuple]:
-    kind, config, times, sites = task
-    return _ROW_BUILDERS[kind](config, times, sites)
+    rows, config, times, sites = task
+    return rows(config, times, sites)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -118,11 +111,12 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _run(kind: str, config: QuenchConfig, names, sites, workers) -> ObservableSeries:
+def _run(rows_fn, config: QuenchConfig, names, sites, workers) -> ObservableSeries:
+    """Evaluate `rows_fn` block by block; it must be module-level to pickle."""
     workers = resolve_workers(workers)
     times = config.time_grid
     blocks = [times[i:i + EVAL_BLOCK] for i in range(0, times.size, EVAL_BLOCK)]
-    tasks = [(kind, config, block, sites) for block in blocks]
+    tasks = [(rows_fn, config, block, sites) for block in blocks]
     if workers == 1 or len(tasks) == 1:
         parts = [_worker(task) for task in tasks]
     else:
@@ -136,7 +130,7 @@ def _run(kind: str, config: QuenchConfig, names, sites, workers) -> ObservableSe
 
 def compute_series(config: QuenchConfig, workers: int | None = None) -> ObservableSeries:
     """Full observable set along the configured time grid."""
-    return _run("full", config, SERIES_COLUMNS, (), workers)
+    return _run(_full_rows, config, SERIES_COLUMNS, (), workers)
 
 
 def string_series(config: QuenchConfig, sites,
@@ -144,10 +138,10 @@ def string_series(config: QuenchConfig, sites,
     """<X_j> columns (named x{j}) for each site j in `sites`."""
     sites = tuple(int(s) for s in np.atleast_1d(sites))
     names = ("t", *(f"x{j}" for j in sites))
-    return _run("string", config, names, sites, workers)
+    return _run(_string_rows, config, names, sites, workers)
 
 
 def order_parameter_series(config: QuenchConfig,
                            workers: int | None = None) -> ObservableSeries:
     """Only <sx>, <sy> of site 1, for decay and revival studies."""
-    return _run("order", config, ("t", "sx", "sy"), (), workers)
+    return _run(_order_rows, config, ("t", "sx", "sy"), (), workers)

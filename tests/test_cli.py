@@ -191,6 +191,24 @@ def test_ed_check_passes_on_small_ring(capsys):
     assert text.count(" ok") == 9
 
 
+def test_ed_check_single_point_needs_no_time_span(capsys):
+    assert main(["ed-check", "--n-sites", "4", "--g", "1.0",
+                 "--t-max", "0", "--points", "1"]) == 0
+    assert "ed-check passed for N=4, g=1.0 (1 times" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_ed_check_rejects_too_few_points(points):
+    with pytest.raises(SystemExit, match="--points must be at least 1"):
+        main(["ed-check", "--n-sites", "4", "--g", "1.0", "--points", points])
+
+
+def test_ed_check_rejects_empty_time_span():
+    with pytest.raises(SystemExit, match="--t-max must be positive"):
+        main(["ed-check", "--n-sites", "4", "--g", "1.0",
+              "--t-max", "0", "--points", "5"])
+
+
 def test_ed_check_fails_with_absurd_tolerance(capsys):
     assert main(["ed-check", "--n-sites", "4", "--g", "0.5",
                  "--points", "3", "--tol", "1e-16"]) == 1
