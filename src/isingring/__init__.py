@@ -52,7 +52,6 @@ from .rdm import (
 from .simulate import (
     ObservableSeries,
     compute_series,
-    observables_at,
     order_parameter_series,
     string_series,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "longitudinal_magnetization",
     "mode_uv",
     "momentum_grids",
-    "observables_at",
     "odd_rdm_entries",
     "order_parameter_series",
     "pauli_correlation",

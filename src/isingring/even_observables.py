@@ -9,7 +9,8 @@ diagonal expectations in the two parity sectors,
 and each sector expectation reduces to sums over its own pair modes.  The
 double momentum sums entering the double occupancy <n_1 n_2> are
 rearranged exactly into rank-one quadratic forms, so every observable here
-costs O(N) per time point.
+costs O(N) per time point; every sum runs over the momentum axis (the
+last one), so a whole time grid of amplitudes is reduced at once.
 
 The same integrands evaluated on a continuous momentum give the
 thermodynamic limits (transverse magnetization, xx correlator, double
@@ -33,20 +34,14 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge and the fallback disagreed."""
 
 
-def _sector_sums(amps: ModeAmplitudes):
-    k = amps.momenta
-    return np.cos(k), np.sin(k), amps.u, amps.v
-
-
 def transverse_magnetization(even: ModeAmplitudes, odd: ModeAmplitudes,
-                             n_sites: int) -> float:
+                             n_sites: int):
     """<sigma^z> per site; the +1 counts the occupied unpaired k=0 mode."""
-    total = np.sum(np.abs(even.v) ** 2) + np.sum(np.abs(odd.v) ** 2)
-    return float((2.0 * total + 1.0) / n_sites - 1.0)
+    total = (np.abs(even.v) ** 2).sum(-1) + (np.abs(odd.v) ** 2).sum(-1)
+    return (2.0 * total + 1.0) / n_sites - 1.0
 
 
-def pair_entries(even: ModeAmplitudes, odd: ModeAmplitudes,
-                 n_sites: int) -> tuple[complex, float]:
+def pair_entries(even: ModeAmplitudes, odd: ModeAmplitudes, n_sites: int):
     """(rho_14, rho_23): pair-creation and exchange entries of the 2-site RDM.
 
     rho_14 = <c_1 c_2> collects sin(k) u*_k v_k over both grids; rho_23 =
@@ -56,16 +51,14 @@ def pair_entries(even: ModeAmplitudes, odd: ModeAmplitudes,
     rho14 = 0j
     cos_u2 = 0.0
     for amps in (even, odd):
-        c, s, u, v = _sector_sums(amps)
-        rho14 += np.sum(s * np.conj(u) * v)
-        cos_u2 += float(np.sum(c * np.abs(u) ** 2))
-    rho14 /= n_sites
+        k, u = amps.momenta, amps.u
+        rho14 += (np.sin(k) * np.conj(u) * amps.v).sum(-1)
+        cos_u2 += (np.cos(k) * np.abs(u) ** 2).sum(-1)
     rho23 = -(2.0 * cos_u2 - 1.0) / (2.0 * n_sites)
-    return complex(rho14), float(rho23)
+    return rho14 / n_sites, rho23
 
 
-def double_occupancy(even: ModeAmplitudes, odd: ModeAmplitudes,
-                     n_sites: int) -> float:
+def double_occupancy(even: ModeAmplitudes, odd: ModeAmplitudes, n_sites: int):
     """rho_11 = <n_1 n_2>, the up-up weight of the two-site RDM.
 
     The k > k' double sums are evaluated through the exact identities
@@ -81,38 +74,40 @@ def double_occupancy(even: ModeAmplitudes, odd: ModeAmplitudes,
     n2 = float(n_sites) ** 2
     total = 0.0
     for amps in (even, odd):
-        c, s, u, v = _sector_sums(amps)
-        w = np.abs(v) ** 2
-        z = np.conj(u) * v
+        k = amps.momenta
+        c, s = np.cos(k), np.sin(k)
+        w = np.abs(amps.v) ** 2
+        z = np.conj(amps.u) * amps.v
         cw = c * w
         sz = s * z
-        t1 = np.sum(w) ** 2 - np.sum(w**2) - np.sum(cw) ** 2 + np.sum(cw**2)
-        t2 = np.abs(np.sum(sz)) ** 2 - np.sum(s**2 * np.abs(z) ** 2)
+        t1 = w.sum(-1) ** 2 - (w**2).sum(-1) - cw.sum(-1) ** 2 + (cw**2).sum(-1)
+        t2 = np.abs(sz.sum(-1)) ** 2 - (s**2 * np.abs(z) ** 2).sum(-1)
         total += t1 + t2
         if amps.sector == EVEN:
-            total += float(np.sum(s**2 * w))
+            total += (s**2 * w).sum(-1)
         else:
-            total += float(np.sum((2.0 + c) * (1.0 - c) * w))
-    return float(2.0 * total / n2)
+            total += ((2.0 + c) * (1.0 - c) * w).sum(-1)
+    return 2.0 * total / n2
 
 
 @dataclass(frozen=True)
 class EvenObservables:
-    """Scalar parity-even data of one time point."""
+    """Parity-even data at one time (scalars) or along a grid ((T,) arrays)."""
 
-    sz: float
-    rho14: complex
-    rho23: float
-    rho11: float
+    sz: float | np.ndarray
+    rho14: complex | np.ndarray
+    rho23: float | np.ndarray
+    rho11: float | np.ndarray
 
     @property
-    def rho22(self) -> float:
+    def rho22(self):
         """Up-down weight: <n_1> - <n_1 n_2> with <n_1> = (1 + <sz>)/2."""
         return 0.5 + self.sz / 2.0 - self.rho11
 
 
 def evaluate_even(even: ModeAmplitudes, odd: ModeAmplitudes,
                   n_sites: int) -> EvenObservables:
+    """All parity-even entries, reduced over the momenta (the last axis)."""
     rho14, rho23 = pair_entries(even, odd, n_sites)
     return EvenObservables(
         sz=transverse_magnetization(even, odd, n_sites),

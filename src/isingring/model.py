@@ -34,6 +34,7 @@ sector expectations, parity-odd operators live entirely on the cross terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,12 +73,14 @@ class MomentumGrid:
         return self.positive.size
 
 
+@lru_cache(maxsize=8)
 def momentum_grids(n_sites: int) -> tuple[MomentumGrid, MomentumGrid]:
-    """Return the (even, odd) momentum grids of an N-site ring."""
+    """The (even, odd) momentum grids of an N-site ring, cached and read-only."""
     n = _validate_n_sites(n_sites)
     step = 2.0 * np.pi / n
     k_even = (np.arange(n // 2) + 0.5) * step          # pi/N, 3*pi/N, ..., pi - pi/N
     k_odd = np.arange(1, n // 2) * step                # 2*pi/N, ..., pi - 2*pi/N
+    k_even.flags.writeable = k_odd.flags.writeable = False
     even = MomentumGrid(EVEN, k_even, ())
     odd = MomentumGrid(ODD, k_odd, (-np.pi, 0.0))
     return even, odd
@@ -90,7 +93,7 @@ def dispersion(g: float, k) -> np.ndarray:
     return 2.0 * np.sqrt(np.clip(radicand, 0.0, None))
 
 
-def _sin_over(lam, t: float):
+def _sin_over(lam, t):
     """sin(lam*t)/lam, switching to the Taylor series for tiny lam."""
     lam = np.asarray(lam, dtype=float)
     small = lam < SMALL_DISPERSION
@@ -99,14 +102,16 @@ def _sin_over(lam, t: float):
     return np.where(small, series, np.sin(lam * t) / safe)
 
 
-def mode_uv(g: float, k, t: float) -> tuple[np.ndarray, np.ndarray]:
+def mode_uv(g: float, k, t) -> tuple[np.ndarray, np.ndarray]:
     """Pair amplitudes (u_k(t), v_k(t)) for a quench g: 0 -> g.
 
     u multiplies the pair vacuum and v the doubly occupied state
     c+_k c+_{-k} |vac>; the pair starts in its g=0 ground state
     sin(k/2)|vac> + cos(k/2)|kk>.  |u|^2 + |v|^2 = 1 identically.
+    k is 1-d; a scalar t gives (P,) arrays, T times give (T, P).
     """
     k = np.asarray(k, dtype=float)
+    t = np.asarray(t, dtype=float)[..., None]
     lam = dispersion(g, k)
     ct = np.cos(lam * t)
     st = _sin_over(lam, t)
@@ -117,10 +122,11 @@ def mode_uv(g: float, k, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ModeAmplitudes:
-    """Pair amplitudes of one sector at a fixed time.
+    """Pair amplitudes of one sector at one time or along T times.
 
-    `u[i]`, `v[i]` refer to the pair at `momenta[i]` (the positive grid of
-    the sector).  `phase` is the scalar phase of the whole sector state
+    `u[..., i]`, `v[..., i]` refer to the pair at `momenta[i]` (the
+    positive grid of the sector), shape (P,) or (T, P); `time` and `phase`
+    are scalars or (T,).  `phase` is the phase of the whole sector state
     relative to the even one: 1 for the even sector, exp(2it) for the odd
     sector, where the occupied unpaired k=0 mode accumulates the only
     energy that survives the traceless-block convention.
@@ -130,17 +136,18 @@ class ModeAmplitudes:
     momenta: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    time: float
-    phase: complex
+    time: float | np.ndarray
+    phase: complex | np.ndarray
 
 
-def evolve_amplitudes(grid: MomentumGrid, g: float, t: float) -> ModeAmplitudes:
-    """Evolve the sector described by `grid` to time t after the quench."""
+def evolve_amplitudes(grid: MomentumGrid, g: float, t) -> ModeAmplitudes:
+    """Evolve the sector described by `grid` to time t (scalar or 1-d array)."""
     if g < 0:
         raise ValueError(f"field must be non-negative, got {g}")
-    u, v = mode_uv(g, grid.positive, float(t))
-    phase = np.exp(2j * t) if grid.sector == ODD else 1.0 + 0j
-    return ModeAmplitudes(grid.sector, grid.positive, u, v, float(t), phase)
+    t = np.asarray(t, dtype=float)
+    u, v = mode_uv(g, grid.positive, t)
+    phase = np.exp(2j * t) if grid.sector == ODD else np.ones_like(t, dtype=complex)
+    return ModeAmplitudes(grid.sector, grid.positive, u, v, t[()], phase[()])
 
 
 @dataclass(frozen=True)
@@ -162,8 +169,8 @@ class QuenchConfig:
             raise ValueError("time_grid must be non-negative and strictly increasing")
         object.__setattr__(self, "time_grid", grid)
 
-    def amplitudes(self, t: float) -> tuple[ModeAmplitudes, ModeAmplitudes]:
-        """(even, odd) mode amplitudes at time t."""
+    def amplitudes(self, t) -> tuple[ModeAmplitudes, ModeAmplitudes]:
+        """(even, odd) mode amplitudes at time t, a scalar or a 1-d array."""
         even, odd = momentum_grids(self.n_sites)
         return (
             evolve_amplitudes(even, self.field_g, t),

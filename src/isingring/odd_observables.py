@@ -135,7 +135,8 @@ class CrossParityKernel:
         return pf_c, pf_cdag
 
     def c_series(self, amps_pairs, sites=(1, 2)) -> np.ndarray:
-        """<c_j> for each (even, odd) amplitude pair; shape (times, sites)."""
+        """<c_j> along (even, odd) amplitude pairs, each holding one time or
+        a time grid, stacked in order; shape (times, sites)."""
         sites = [int(s) for s in np.atleast_1d(sites)]
         if any(not 1 <= s <= self.n_sites for s in sites):
             raise ValueError(f"sites must lie in 1..{self.n_sites}, got {sites}")
@@ -143,23 +144,24 @@ class CrossParityKernel:
         for even, odd in amps_pairs:
             if even.sector != EVEN or odd.sector != ODD:
                 raise ValueError("pass (even, odd) mode amplitudes in that order")
-            if even.time != odd.time:
+            if not np.array_equal(even.time, odd.time):
                 raise ValueError(f"sector times differ: {even.time} vs {odd.time}")
-            if even.u.size != expected[EVEN] or odd.u.size != expected[ODD]:
+            if even.u.shape[-1] != expected[EVEN] or odd.u.shape[-1] != expected[ODD]:
                 raise ValueError("mode amplitudes do not match this ring size")
-        eu = np.array([e.u for e, _ in amps_pairs])
-        ev = np.array([e.v for e, _ in amps_pairs])
-        ou = np.array([o.u for _, o in amps_pairs])
-        ov = np.array([o.v for _, o in amps_pairs])
-        phase = np.array([o.phase for _, o in amps_pairs])
+        eu = np.concatenate([np.atleast_2d(e.u) for e, _ in amps_pairs])
+        ev = np.concatenate([np.atleast_2d(e.v) for e, _ in amps_pairs])
+        ou = np.concatenate([np.atleast_2d(o.u) for _, o in amps_pairs])
+        ov = np.concatenate([np.atleast_2d(o.v) for _, o in amps_pairs])
+        phase = np.concatenate([np.atleast_1d(o.phase) for _, o in amps_pairs])
         pf_c, pf_cdag = self._matrix_elements(eu, ev, ou, ov, sites)
         w = (RELATIVE_PHASE * phase)[:, None]
         return 0.5 * (w * pf_c + np.conj(w * pf_cdag))
 
     def c_expectations(self, even: ModeAmplitudes, odd: ModeAmplitudes,
                        sites=(1, 2)) -> np.ndarray:
-        """<c_j> in |R(t)> for each requested site j."""
-        return self.c_series([(even, odd)], sites)[0]
+        """<c_j> in |R(t)> for each requested site j, after any time axis."""
+        c = self.c_series([(even, odd)], sites)
+        return c.reshape(np.shape(even.time) + c.shape[-1:])
 
 
 @lru_cache(maxsize=4)
@@ -184,8 +186,8 @@ def cross_parity_amplitude(even: ModeAmplitudes, odd: ModeAmplitudes,
     return complex(c_expectations(even, odd, n_sites, (site,))[0])
 
 
-def longitudinal_magnetization(c1: complex) -> tuple[float, float]:
-    """(<sigma^x>, <sigma^y>) of site 1 from <c_1>.
+def longitudinal_magnetization(c1):
+    """(<sigma^x>, <sigma^y>) of site 1 from <c_1> (a scalar or an array).
 
     sigma^x_1 = c_1 + c+_1 and sigma^y_1 = -i(c+_1 - c_1), so the pair is
     (2 Re<c_1>, -2 Im<c_1>).

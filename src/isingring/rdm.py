@@ -10,6 +10,8 @@ single-mode expectations <c_1>, <c_2>.
 Physical inputs give a positive matrix up to roundoff; construction
 repairs eigenvalues in [-NEG_TOL, 0) by clamping and renormalizing and
 treats anything more negative as an upstream inconsistency.
+Everything here also takes stacks, (..., 4, 4) matrices or (..., 3)
+Bloch vectors, and works per member.
 """
 
 from __future__ import annotations
@@ -29,73 +31,82 @@ PAULI_2 = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_YY = np.kron(PAULI_2["y"], PAULI_2["y"]).real  # sigma_y x sigma_y, real
+_XYZ = np.stack([PAULI_2[a] for a in "xyz"])
+_PAULI_4 = {a + b: np.kron(PAULI_2[a], PAULI_2[b]) for a in PAULI_2 for b in PAULI_2}
+_YY = _PAULI_4["yy"].real  # sigma_y x sigma_y, real
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class SingleSiteRDM:
-    """A qubit state as its Bloch vector (bx, by, bz)."""
+    """A qubit state as its Bloch vector (bx, by, bz), or a (..., 3) stack."""
 
     bloch: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.bloch, dtype=float)
-        if b.shape != (3,):
+        if b.shape[-1:] != (3,):
             raise ValueError(f"bloch vector must have shape (3,), got {b.shape}")
-        if np.linalg.norm(b) > 1.0 + 1e-9:
-            raise ValueError(f"bloch vector leaves the unit ball: {b}")
+        norm = np.linalg.norm(b, axis=-1)
+        if np.any(norm > 1.0 + 1e-9):
+            raise ValueError(f"bloch vector leaves the unit ball: |b| = {norm.max():.6g}")
         object.__setattr__(self, "bloch", b)
 
     @property
     def matrix(self) -> np.ndarray:
-        b = self.bloch
-        return 0.5 * (PAULI_2["i"] + b[0] * PAULI_2["x"]
-                      + b[1] * PAULI_2["y"] + b[2] * PAULI_2["z"])
+        return 0.5 * (PAULI_2["i"] + np.einsum("...a,aij->...ij", self.bloch, _XYZ))
 
-    def purity(self) -> float:
-        return float(0.5 * (1.0 + np.dot(self.bloch, self.bloch)))
+    def purity(self):
+        return 0.5 * (1.0 + np.einsum("...a,...a->...", self.bloch, self.bloch))
 
 
 @dataclass(frozen=True)
 class TwoSiteRDM:
-    """A validated 4x4 density matrix in the basis (uu, ud, du, dd)."""
+    """A validated 4x4 density matrix in the basis (uu, ud, du, dd).
+
+    `matrix` may be a (..., 4, 4) stack; only members with roundoff
+    negativity go through the eigendecomposition repair.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
+        if m.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > HERM_TOL:
+        if np.abs(m - _dagger(m)).max() > HERM_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        m = (m + m.conj().T) / 2.0
-        tr = m.trace().real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace deviates from 1 by {tr - 1.0:.3e}")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -NEG_TOL:
-            raise ValueError(f"negative eigenvalue {w[0]:.3e} beyond repair")
-        if w[0] < 0.0:
-            w2, v = np.linalg.eigh(m)
-            w2 = np.clip(w2, 0.0, None)
-            m = (v * w2) @ v.conj().T
-            m /= m.trace().real
+        m = (m + _dagger(m)) / 2.0
+        dev = np.ravel(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
+        if np.any(np.abs(dev) > TRACE_TOL):
+            worst = dev[np.argmax(np.abs(dev))]
+            raise ValueError(f"trace deviates from 1 by {worst:.3e}")
+        lowest = np.linalg.eigvalsh(m)[..., 0]
+        if np.any(lowest < -NEG_TOL):
+            raise ValueError(f"negative eigenvalue {lowest.min():.3e} beyond repair")
+        flagged = lowest < 0.0
+        if np.any(flagged):
+            w, v = np.linalg.eigh(m[flagged])
+            fixed = (v * np.clip(w, 0.0, None)[:, None, :]) @ _dagger(v)
+            m[flagged] = fixed / np.trace(fixed, axis1=1, axis2=2).real[:, None, None]
         object.__setattr__(self, "matrix", m)
 
     def reduce(self, site: int) -> SingleSiteRDM:
         """Trace out the other site, keeping `site` (1 or 2)."""
-        t = self.matrix.reshape(2, 2, 2, 2)
-        m = np.einsum("ikjk->ij", t) if site == 1 else np.einsum("kikj->ij", t)
-        bloch = [np.trace(m @ PAULI_2[a]).real for a in "xyz"]
-        return SingleSiteRDM(np.array(bloch))
+        t = self.matrix.reshape(self.matrix.shape[:-2] + (2, 2, 2, 2))
+        m = np.einsum("...ikjk->...ij", t) if site == 1 else np.einsum("...kikj->...ij", t)
+        return SingleSiteRDM(np.einsum("...ij,aji->...a", m, _XYZ).real)
 
 
-def assemble_two_site(even, rho12: complex, rho24: complex) -> TwoSiteRDM:
+def assemble_two_site(even, rho12, rho24) -> TwoSiteRDM:
     """Two-site RDM from the parity-even block and the odd entries.
 
     `even` is an EvenObservables record; rho12 = (<c_1> - <c_2>)/2 and
     rho24 = (<c_1> + <c_2>)/2 fill the parity-breaking positions.  rho44
-    closes the unit trace.
+    closes the unit trace.  Entries of shape (T,) give a (T, 4, 4) stack.
     """
     r11, r14, r23, r22 = even.rho11, even.rho14, even.rho23, even.rho22
     r44 = 1.0 - r11 - 2.0 * r22
@@ -105,16 +116,15 @@ def assemble_two_site(even, rho12: complex, rho24: complex) -> TwoSiteRDM:
         [np.conj(rho12), r23, r22, rho24],
         [np.conj(r14), np.conj(rho24), np.conj(rho24), r44],
     ])
-    return TwoSiteRDM(m)
+    return TwoSiteRDM(np.moveaxis(m, (0, 1), (-2, -1)))
 
 
-def pauli_correlation(r: TwoSiteRDM, axis1: str, axis2: str) -> float:
+def pauli_correlation(r: TwoSiteRDM, axis1: str, axis2: str):
     """<sigma^{axis1}_1 sigma^{axis2}_2> from the two-site matrix."""
-    op = np.kron(PAULI_2[axis1], PAULI_2[axis2])
-    return float(np.trace(r.matrix @ op).real)
+    return np.einsum("...ij,ji->...", r.matrix, _PAULI_4[axis1 + axis2]).real
 
 
-def concurrence(r: TwoSiteRDM) -> float:
+def concurrence(r: TwoSiteRDM):
     """Wootters concurrence of the two-site state.
 
     Uses the Hermitian form: with rho~ = (y x y) rho* (y x y), the
@@ -123,10 +133,10 @@ def concurrence(r: TwoSiteRDM) -> float:
     """
     m = r.matrix
     w, v = np.linalg.eigh(m)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
     tilde = _YY @ m.conj() @ _YY
     lam = np.linalg.eigvalsh(root @ tilde @ root)
-    if lam[0] < -NEG_TOL:
-        raise ValueError(f"spin-flipped spectrum has eigenvalue {lam[0]:.3e}")
-    lam = np.sqrt(np.clip(lam[::-1], 0.0, None))
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    if np.any(lam[..., 0] < -NEG_TOL):
+        raise ValueError(f"spin-flipped spectrum has eigenvalue {lam[..., 0].min():.3e}")
+    lam = np.sqrt(np.clip(lam[..., ::-1], 0.0, None))
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])

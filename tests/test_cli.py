@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from isingring import cli
 from isingring.cli import _float_list, main
 
 
@@ -214,6 +215,22 @@ def test_ed_check_fails_with_absurd_tolerance(capsys):
                  "--points", "3", "--tol", "1e-16"]) == 1
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
+    assert "FAILED" in captured.err
+
+
+def test_ed_check_fails_on_nan(monkeypatch, capsys):
+    fast = cli.compute_series
+
+    def poisoned(config, workers=None):
+        series = fast(config, workers)
+        series.columns["cxy"][1] = np.nan
+        return series
+
+    monkeypatch.setattr(cli, "compute_series", poisoned)
+    assert main(["ed-check", "--n-sites", "4", "--g", "0.5", "--points", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "cxy          max|dev| = nan  FAIL" in captured.out
+    assert captured.out.count(" ok") == 8
     assert "FAILED" in captured.err
 
 

@@ -70,6 +70,17 @@ def test_matches_exact_diagonalization_entries():
     assert obs.rho22 == pytest.approx(rho[1, 1].real, abs=1e-11)
 
 
+def test_time_grid_equals_single_times():
+    n, g = 12, 1.4
+    times = np.array([0.0, 0.5, 2.2, 9.1])
+    grid = evaluate_even(*QuenchConfig(n, g, times).amplitudes(times), n)
+    singles = [evaluate_even(*amps_at(n, g, float(t)), n) for t in times]
+    for field in ("sz", "rho14", "rho23", "rho11", "rho22"):
+        assert np.shape(getattr(grid, field)) == times.shape
+        stacked = np.array([getattr(obs, field) for obs in singles])
+        np.testing.assert_allclose(getattr(grid, field), stacked, rtol=0, atol=1e-15)
+
+
 def test_rho22_closes_the_diagonal():
     obs = EvenObservables(sz=0.1, rho14=0.0, rho23=0.0, rho11=0.2)
     # <n_1> = (1 + sz)/2 must equal rho11 + rho22

@@ -115,6 +115,18 @@ class TestQuenchConfig:
         even, odd = cfg.amplitudes(0.5)
         assert even.sector == EVEN and odd.sector == ODD
 
+    def test_time_grid_stacks_single_times(self):
+        cfg = QuenchConfig(10, 0.7, [0.0, 0.3, 1.9, 12.5])
+        grid = cfg.amplitudes(cfg.time_grid)
+        singles = [cfg.amplitudes(float(t)) for t in cfg.time_grid]
+        for sector, amps in enumerate(grid):
+            assert amps.u.shape == (4, amps.momenta.size)
+            np.testing.assert_array_equal(amps.time, cfg.time_grid)
+            for field in ("u", "v", "phase"):
+                stacked = np.array([getattr(pair[sector], field) for pair in singles])
+                np.testing.assert_allclose(getattr(amps, field), stacked,
+                                           rtol=0, atol=1e-15)
+
     def test_rejects_odd_ring(self):
         with pytest.raises(ValueError, match="even integer"):
             QuenchConfig(7, 1.0, [0.0])

@@ -73,6 +73,12 @@ def test_series_equals_pointwise():
     for row, (even, odd) in zip(series, pairs):
         np.testing.assert_allclose(row, c_expectations(even, odd, n, (1, 2, 5)),
                                    atol=1e-14)
+    # one pair holding the whole grid is the same as a pair per time
+    grid_pair = QuenchConfig(n, g, times).amplitudes(np.array(times))
+    np.testing.assert_allclose(c_expectations_series([grid_pair], n, (1, 2, 5)),
+                               series, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(c_expectations(*grid_pair, n, (1, 2, 5)),
+                               series, rtol=0, atol=1e-15)
 
 
 def test_series_chunking_is_invisible(monkeypatch):

@@ -80,6 +80,28 @@ class TestTwoSiteRDM:
         assert w[0] >= 0.0
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-14)
 
+    def test_stack_repairs_only_the_flagged_member(self):
+        eps = 5e-10
+        clean = random_density_matrix(np.random.default_rng(3)).matrix
+        noisy = np.diag([0.5 + eps / 3, 0.3, 0.2, -eps]).astype(complex)
+        rho = TwoSiteRDM(np.array([clean, noisy, clean]))
+        np.testing.assert_array_equal(rho.matrix[0], clean)
+        np.testing.assert_array_equal(rho.matrix[2], clean)
+        np.testing.assert_array_equal(rho.matrix[1], TwoSiteRDM(noisy).matrix)
+        assert np.linalg.eigvalsh(rho.matrix[1])[0] >= 0.0
+
+    def test_stack_rejects_one_bad_member(self):
+        clean = np.eye(4) / 4.0
+        negative = np.diag([0.7, 0.5, -0.2, 0.0])
+        with pytest.raises(ValueError, match="negative eigenvalue -2.000e-01"):
+            TwoSiteRDM(np.array([clean, negative, clean]))
+        with pytest.raises(ValueError, match=r"trace deviates from 1 by 1\.000e\+00"):
+            TwoSiteRDM(np.array([clean, np.eye(4) / 2.0]))
+        skewed = clean.copy()
+        skewed[0, 1] = 0.3
+        with pytest.raises(ValueError, match="Hermitian"):
+            TwoSiteRDM(np.array([clean, skewed]))
+
     def test_reduce_matches_partial_trace(self):
         rng = np.random.default_rng(2)
         rho = random_density_matrix(rng)
@@ -138,6 +160,26 @@ class TestConcurrence:
             lam = np.sqrt(np.clip(np.sort(lam.real)[::-1], 0.0, None))
             expected = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
             assert concurrence(rho) == pytest.approx(expected, abs=5e-7)
+
+
+def test_stack_measures_equal_per_matrix_values():
+    # full rank: for rank-deficient states sqrt(rho) turns one-ulp noise
+    # in the near-zero eigenvalues into ~1e-9 concurrence differences
+    rng = np.random.default_rng(21)
+    rhos = [random_density_matrix(rng) for _ in range(5)]
+    stack = TwoSiteRDM(np.array([r.matrix for r in rhos]))
+    np.testing.assert_allclose(concurrence(stack), [concurrence(r) for r in rhos],
+                               rtol=0, atol=1e-15)
+    for a, b in (("z", "z"), ("x", "x"), ("x", "y"), ("x", "z"), ("y", "i")):
+        np.testing.assert_allclose(pauli_correlation(stack, a, b),
+                                   [pauli_correlation(r, a, b) for r in rhos],
+                                   rtol=0, atol=1e-15)
+    for site in (1, 2):
+        one = stack.reduce(site)
+        np.testing.assert_allclose(one.bloch, [r.reduce(site).bloch for r in rhos],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(one.purity(), [r.reduce(site).purity() for r in rhos],
+                                   rtol=0, atol=1e-15)
 
 
 def test_quench_rdm_stays_physical_over_time():

@@ -5,7 +5,6 @@ from isingring.model import QuenchConfig
 from isingring.simulate import (
     SERIES_COLUMNS,
     compute_series,
-    observables_at,
     order_parameter_series,
     resolve_workers,
     string_series,
@@ -16,8 +15,14 @@ def small_config(n=6, g=1.2, t_max=2.0, points=9):
     return QuenchConfig(n, g, np.linspace(0.0, t_max, points))
 
 
-def test_observables_at_keys():
-    obs = observables_at(small_config(), 0.7)
+def one_point(cfg, t):
+    """All series columns at a single time, from a one-point grid."""
+    series = compute_series(QuenchConfig(cfg.n_sites, cfg.field_g, [t]))
+    return {name: column[0] for name, column in series.columns.items()}
+
+
+def test_one_point_series_keys():
+    obs = one_point(small_config(), 0.7)
     assert tuple(obs) == SERIES_COLUMNS
     assert obs["t"] == pytest.approx(0.7)
 
@@ -26,7 +31,7 @@ def test_series_matches_pointwise_evaluation():
     cfg = small_config()
     series = compute_series(cfg)
     for i, t in enumerate(cfg.time_grid):
-        obs = observables_at(cfg, float(t))
+        obs = one_point(cfg, float(t))
         for name in SERIES_COLUMNS:
             # concurrence takes square roots of near-zero eigenvalues, which
             # turns the one-ulp rounding spread between a single-time stack
