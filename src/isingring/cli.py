@@ -50,6 +50,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one value")
+    return values
+
+
 def _float_list(text: str) -> list[float]:
     """Parse '0.5,1.0' or 'start:step:stop' (stop inclusive)."""
     if ":" in text:
@@ -58,12 +64,12 @@ def _float_list(text: str) -> list[float]:
             raise argparse.ArgumentTypeError("range step must be positive")
         n = int(round((stop - start) / step))
         vals = [start + i * step for i in range(n + 1)]
-        return [v for v in vals if v <= stop + 1e-12]
-    return [float(p) for p in text.split(",") if p.strip()]
+        return _nonempty([v for v in vals if v <= stop + 1e-12])
+    return _nonempty([float(p) for p in text.split(",") if p.strip()])
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+    return _nonempty([int(p) for p in text.split(",") if p.strip()])
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -78,7 +84,8 @@ def _time_grid(t_min: float, t_max: float, dt: float) -> np.ndarray:
         raise SystemExit("error: --dt must be positive")
     if t_max < t_min:
         raise SystemExit("error: --t-max must be >= --t-min")
-    n = int(round((t_max - t_min) / dt))
+    # whole steps only: the last point passes --t-max by roundoff at most
+    n = int(np.floor((t_max - t_min) / dt + 1e-9))
     return t_min + dt * np.arange(n + 1)
 
 
@@ -193,8 +200,8 @@ def cmd_ed_check(args) -> int:
     if args.points > 1 and args.t_max <= 0:
         raise SystemExit("error: --t-max must be positive when --points > 1")
     grid = np.linspace(0.0, args.t_max, args.points)
+    oracle = quench_oracle(args.n_sites, args.g)   # rejects rings it cannot take
     fast = compute_series(QuenchConfig(args.n_sites, args.g, grid))
-    oracle = quench_oracle(args.n_sites, args.g)
     ed = TwoSiteRDM(np.array([two_site_rdm(oracle.state(float(t)), args.n_sites)
                               for t in grid]))
     names = SERIES_COLUMNS[1:]
@@ -237,20 +244,30 @@ def cmd_limits(args) -> int:
     return 0
 
 
-def _add_common(p, with_field=True):
-    p.add_argument("--n-sites", type=int, required=True,
-                   help="ring size N (even, >= 4)")
-    if with_field:
-        p.add_argument("--g", type=float, required=True,
-                       help="post-quench transverse field")
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--workers", type=int, default=None,
-                   help="process pool size (default: ISINGRING_WORKERS or 1)")
-    p.add_argument("--out", default="-", help="CSV path, '-' for stdout")
-    p.add_argument("--json-out", default=None, help="optional JSON mirror path")
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
+#: Flags shared by several subcommands, declared once.  `_add_shared`
+#: can give one a per-command default, which also makes it optional.
+_SHARED_FLAGS = {
+    "--n-sites": dict(type=int, required=True, help="ring size N (even, >= 4)"),
+    "--g": dict(type=float, required=True, help="post-quench transverse field"),
+    "--t-min": dict(type=float, default=0.0),
+    "--t-max": dict(type=float, required=True),
+    "--dt": dict(type=float, default=0.05),
+    "--workers": dict(type=int, default=None,
+                      help="process pool size (default: ISINGRING_WORKERS or 1)"),
+    "--out": dict(default="-", help="CSV path, '-' for stdout"),
+    "--json-out": dict(default=None, help="optional JSON mirror path"),
+}
+_GRID = ("--t-min", "--t-max", "--dt")
+_WORKERS_OUT = ("--workers", "--out", "--json-out")
+
+
+def _add_shared(p, *flags, **defaults) -> None:
+    for flag in flags:
+        spec = dict(_SHARED_FLAGS[flag])
+        dest = flag[2:].replace("-", "_")
+        if dest in defaults:
+            spec.update(required=False, default=defaults[dest])
+        p.add_argument(flag, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,53 +279,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evolve", help="full observable time series")
-    _add_common(p)
+    _add_shared(p, "--n-sites", "--g", *_GRID, *_WORKERS_OUT)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("string-op", help="dressed string <X_j> series")
-    _add_common(p)
+    _add_shared(p, "--n-sites", "--g", *_GRID, *_WORKERS_OUT)
     p.add_argument("--sites", type=_int_list, required=True,
                    help="comma separated site list, e.g. 2,4,8")
     p.set_defaults(func=cmd_string_op)
 
     p = sub.add_parser("sweep-g", help="evolve over a field list")
-    _add_common(p, with_field=False)
+    _add_shared(p, "--n-sites", *_GRID, *_WORKERS_OUT)
     p.add_argument("--g-list", type=_float_list, required=True,
                    help="comma list or start:step:stop range")
     p.set_defaults(func=cmd_sweep_g)
 
     p = sub.add_parser("fit", help="order-parameter decay fits per field")
-    p.add_argument("--n-sites", type=int, required=True)
+    _add_shared(p, "--n-sites")
     p.add_argument("--g-list", type=_float_list, required=True)
     p.add_argument("--window", type=_pair, default=(10.0, 20.0),
                    help="fit window 'lo,hi'")
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default="-")
-    p.add_argument("--json-out", default=None)
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
+    _add_shared(p, "--dt", *_WORKERS_OUT)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("ed-check", help="gate the fast path against dense ED")
-    p.add_argument("--n-sites", type=int, required=True)
-    p.add_argument("--g", type=float, required=True)
-    p.add_argument("--t-max", type=float, default=5.0)
+    _add_shared(p, "--n-sites", "--g", "--t-max", t_max=5.0)
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_ed_check)
 
     p = sub.add_parser("limits", help="thermodynamic-limit curves")
-    p.add_argument("--g", type=float, required=True)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--dt", type=float, default=0.1)
+    _add_shared(p, "--g", *_GRID, dt=0.1)
     p.add_argument("--quantities", type=lambda s: s.split(","),
                    default=["sz", "cxx"],
                    help="comma list from sz,cxx,rho11")
-    p.add_argument("--out", default="-")
-    p.add_argument("--json-out", default=None)
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
+    _add_shared(p, "--out", "--json-out")
     p.set_defaults(func=cmd_limits)
 
     return parser

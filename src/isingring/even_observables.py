@@ -210,7 +210,3 @@ def asymptotic_order_decay(g: float) -> tuple[float, float]:
     rate = 4.0 * g / np.pi * _safe_quad(integrand, -1.0, 1.0)
     return float(prefactor), float(rate)
 
-
-def critical_decay_approx(g: float) -> float:
-    """Near-critical expansion of the decay rate, 4/pi - 2 sqrt(2(1-g))."""
-    return 4.0 / np.pi - 2.0 * np.sqrt(2.0 * (1.0 - g))

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import EVEN, ODD, RELATIVE_PHASE, ModeAmplitudes, momentum_grids
+from .model import EVEN, ODD, RELATIVE_PHASE, momentum_grids
 from .pfaffian import pfaffian_batch
 
 #: Complex elements per chunk of stacked contraction matrices (memory cap).
@@ -157,33 +157,20 @@ class CrossParityKernel:
         w = (RELATIVE_PHASE * phase)[:, None]
         return 0.5 * (w * pf_c + np.conj(w * pf_cdag))
 
-    def c_expectations(self, even: ModeAmplitudes, odd: ModeAmplitudes,
-                       sites=(1, 2)) -> np.ndarray:
-        """<c_j> in |R(t)> for each requested site j, after any time axis."""
-        c = self.c_series([(even, odd)], sites)
-        return c.reshape(np.shape(even.time) + c.shape[-1:])
-
 
 @lru_cache(maxsize=4)
 def _kernel(n_sites: int) -> CrossParityKernel:
     return CrossParityKernel(n_sites)
 
 
-def c_expectations(even: ModeAmplitudes, odd: ModeAmplitudes, n_sites: int,
-                   sites=(1, 2)) -> np.ndarray:
-    """<c_j> in |R(t)> for each site in `sites` (cached kernel per size)."""
-    return _kernel(int(n_sites)).c_expectations(even, odd, sites)
-
-
 def c_expectations_series(amps_pairs, n_sites: int, sites=(1, 2)) -> np.ndarray:
-    """<c_j> along a sequence of (even, odd) amplitude pairs, shape (T, S)."""
+    """<c_j> along a sequence of (even, odd) amplitude pairs, shape (T, S).
+
+    The one entry point to the odd path (cached kernel per ring size):
+    every parity-odd observable is read off these values.  A pair may hold
+    one time or a time grid; rows follow the pairs' times in order.
+    """
     return _kernel(int(n_sites)).c_series(list(amps_pairs), sites)
-
-
-def cross_parity_amplitude(even: ModeAmplitudes, odd: ModeAmplitudes,
-                           n_sites: int, site: int) -> complex:
-    """Single-site convenience wrapper around `c_expectations`."""
-    return complex(c_expectations(even, odd, n_sites, (site,))[0])
 
 
 def longitudinal_magnetization(c1):
@@ -196,21 +183,13 @@ def longitudinal_magnetization(c1):
 
 
 def string_signs(sites) -> np.ndarray:
-    """(-1)^(j-1) prefactors relating <X_j> to 2 Re<c_j>."""
-    sites = np.atleast_1d(sites).astype(int)
-    return np.where((sites - 1) % 2, -1.0, 1.0)
+    """(-1)^(j-1) prefactors relating <X_j> to 2 Re<c_j>.
 
-
-def string_expectations(even: ModeAmplitudes, odd: ModeAmplitudes,
-                        n_sites: int, sites) -> np.ndarray:
-    """<X_j> = <sz_1 ... sz_{j-1} sx_j> for each j in `sites`.
-
-    The string operator is (-1)^(j-1) (c_j + c+_j) in fermion language,
-    hence (-1)^(j-1) 2 Re<c_j>.
+    The string operator <X_j> = <sz_1 ... sz_{j-1} sx_j> is
+    (-1)^(j-1) (c_j + c+_j) in fermion language.
     """
     sites = np.atleast_1d(sites).astype(int)
-    c = c_expectations(even, odd, n_sites, tuple(sites))
-    return string_signs(sites) * 2.0 * c.real
+    return np.where((sites - 1) % 2, -1.0, 1.0)
 
 
 def odd_rdm_entries(c1: complex, c2: complex) -> tuple[complex, complex]:

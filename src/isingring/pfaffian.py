@@ -18,7 +18,6 @@ result, independent of array layout and batch size.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,59 +38,14 @@ def _l1_abs(z: np.ndarray) -> np.ndarray:
     """|Re z| + |Im z|, an exactly-rounded stand-in for the modulus."""
     return np.abs(z.real) + np.abs(z.imag)
 
-#: Relative skewness tolerance accepted by SkewMatrix.
-SKEW_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SkewMatrix:
-    """A validated skew-symmetric matrix of even dimension.
-
-    Construction checks squareness, even dimension and skew-symmetry to
-    within SKEW_TOL (relative to the largest entry), then antisymmetrizes
-    exactly so downstream algebra sees m.T == -m to the last bit.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] % 2:
-            raise ValueError(f"dimension must be even, got {m.shape[0]}")
-        m = m.astype(complex)
-        scale = np.abs(m).max() if m.size else 0.0
-        if m.size and np.abs(m + m.T).max() > SKEW_TOL * max(scale, 1.0):
-            raise ValueError("matrix is not skew-symmetric within tolerance")
-        object.__setattr__(self, "entries", (m - m.T) / 2.0)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def pfaffian(m) -> complex:
-    """Pfaffian of a skew-symmetric matrix.
-
-    Accepts a SkewMatrix or a plain ndarray; a plain array is trusted to
-    be skew-symmetric (hot paths construct it that way) and is copied, not
-    modified.  The empty matrix has Pfaffian 1 by convention.
-    """
-    a = m.entries if isinstance(m, SkewMatrix) else np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] % 2:
-        raise ValueError(f"dimension must be even, got {a.shape[0]}")
-    return complex(pfaffian_batch(a[None])[0])
-
 
 def pfaffian_batch(mats: np.ndarray) -> np.ndarray:
     """Pfaffians of a stack of skew-symmetric matrices, shape (B, n, n).
 
     The pivoted elimination described in the module docstring, advanced
-    in lockstep across the batch so the per-step numpy overhead is shared;
-    `pfaffian` is the batch of one.  Stacks whose pivot column vanishes
+    in lockstep across the batch so the per-step numpy overhead is shared.
+    The input is trusted to be skew-symmetric and is copied, not modified;
+    an empty matrix has Pfaffian 1.  Stacks whose pivot column vanishes
     are retired with Pfaffian 0 and dragged along inertly (their pivot is
     replaced by 1 to keep the arithmetic finite).
     """

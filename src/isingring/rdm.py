@@ -127,16 +127,15 @@ def pauli_correlation(r: TwoSiteRDM, axis1: str, axis2: str):
 def concurrence(r: TwoSiteRDM):
     """Wootters concurrence of the two-site state.
 
-    Uses the Hermitian form: with rho~ = (y x y) rho* (y x y), the
-    eigenvalues of sqrt(rho) rho~ sqrt(rho) are real non-negative and
-    their square roots, sorted, give C = max(0, l1 - l2 - l3 - l4).
+    With rho = Psi Psi+ (Psi = V sqrt(W) from the eigendecomposition), the
+    square roots l1 >= ... >= l4 of the eigenvalues of rho rho~, where
+    rho~ = (y x y) rho* (y x y), are the singular values of the symmetric
+    matrix Psi^T (y x y) Psi, and C = max(0, l1 - l2 - l3 - l4).  Taking
+    them as singular values keeps roundoff in them at O(eps); square roots
+    of computed eigenvalues would turn it into O(sqrt(eps)), ~1e-8 for a
+    product state.
     """
-    m = r.matrix
-    w, v = np.linalg.eigh(m)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
-    tilde = _YY @ m.conj() @ _YY
-    lam = np.linalg.eigvalsh(root @ tilde @ root)
-    if np.any(lam[..., 0] < -NEG_TOL):
-        raise ValueError(f"spin-flipped spectrum has eigenvalue {lam[..., 0].min():.3e}")
-    lam = np.sqrt(np.clip(lam[..., ::-1], 0.0, None))
+    w, v = np.linalg.eigh(r.matrix)
+    psi = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    lam = np.linalg.svd(psi.swapaxes(-1, -2) @ _YY @ psi, compute_uv=False)
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])

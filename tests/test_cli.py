@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from isingring import cli
-from isingring.cli import _float_list, main
+from isingring.cli import _float_list, _time_grid, main
 
 
 def run_evolve(tmp_path, name, extra=()):
@@ -120,6 +120,20 @@ def test_bad_config_line_is_rejected(tmp_path):
         main(["evolve", "--config", str(cfg), "--out", "-"])
 
 
+def test_second_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-sites = 6\ng = 1.0\nt-max = 2.0\ndt = 0.1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", "--config", str(cfg), "--config", str(cfg), "--out", "-"])
+    assert err.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    nested = tmp_path / "nested.cfg"
+    nested.write_text(f"config = {cfg}\n")
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", "--config", str(nested), "--out", "-"])
+    assert err.value.code == 2
+
+
 def test_unknown_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["evolve", "--n-sites", "6", "--g", "1.0",
@@ -142,6 +156,43 @@ def test_invalid_ring_size_reports_cleanly(capsys):
 def test_float_list_range_syntax():
     assert _float_list("0.9:0.05:1.0") == pytest.approx([0.9, 0.95, 1.0])
     assert _float_list("0.3,1.5") == [0.3, 1.5]
+
+
+@pytest.mark.parametrize("command", ["sweep-g", "fit"])
+@pytest.mark.parametrize("g_list", ["2:0.5:1", "", ","])
+def test_empty_field_list_is_a_usage_error(command, g_list, capsys):
+    argv = [command, "--n-sites", "6", "--g-list", g_list]
+    if command == "sweep-g":
+        argv += ["--t-max", "0.5"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "argument --g-list: expected at least one value" in capsys.readouterr().err
+
+
+def test_empty_site_list_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["string-op", "--n-sites", "6", "--g", "1.0", "--t-max", "0.5",
+              "--sites", ""])
+    assert err.value.code == 2
+    assert "argument --sites: expected at least one value" in capsys.readouterr().err
+
+
+def test_time_grid_stops_at_t_max():
+    np.testing.assert_allclose(_time_grid(0.0, 1.0, 0.6), [0.0, 0.6])
+    # spans that are whole steps up to roundoff keep their last point
+    assert _time_grid(0.0, 35.0, 0.05).size == 701
+    assert _time_grid(0.1, 0.7, 0.1).size == 7
+    assert _time_grid(0.3, 0.3, 0.1).size == 1
+
+
+def test_evolve_rows_never_pass_t_max(tmp_path):
+    out = tmp_path / "short.csv"
+    assert main(["evolve", "--n-sites", "4", "--g", "1.0", "--t-max", "1",
+                 "--dt", "0.6", "--out", str(out)]) == 0
+    header, _, rows = parse_csv(out.read_text())
+    assert header["t-max"] == "1"
+    np.testing.assert_array_equal(rows[:, 0], [0.0, 0.6])
 
 
 def test_string_op_columns(tmp_path):
@@ -208,6 +259,14 @@ def test_ed_check_rejects_empty_time_span():
     with pytest.raises(SystemExit, match="--t-max must be positive"):
         main(["ed-check", "--n-sites", "4", "--g", "1.0",
               "--t-max", "0", "--points", "5"])
+
+
+def test_ed_check_rejects_large_ring_before_the_fast_path(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "compute_series", lambda *a, **k: calls.append(a))
+    assert main(["ed-check", "--n-sites", "14", "--g", "1.0"]) == 1
+    assert "oracle handles even 4 <= N <= 12, got 14" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_ed_check_fails_with_absurd_tolerance(capsys):

@@ -5,7 +5,6 @@ from isingring.ed_oracle import one_site_rdm, quench_oracle, two_site_rdm
 from isingring.even_observables import (
     EvenObservables,
     asymptotic_order_decay,
-    critical_decay_approx,
     double_occupancy,
     evaluate_even,
     thermo_cxx,
@@ -130,10 +129,10 @@ class TestOrderParameterDecayLaw:
                 asymptotic_order_decay(g)
 
     def test_near_critical_expansion(self):
-        assert critical_decay_approx(1.0) == pytest.approx(4.0 / np.pi)
-        # the expansion is asymptotic: its gap to 4/pi matches the
-        # quadrature's only as g -> 1
-        _, rate = asymptotic_order_decay(0.999)
+        # gamma ~ 4/pi - 2 sqrt(2(1-g)) is asymptotic: its gap to 4/pi
+        # matches the quadrature's only as g -> 1
+        g = 0.999
+        _, rate = asymptotic_order_decay(g)
         gap_true = 4.0 / np.pi - rate
-        gap_approx = 4.0 / np.pi - critical_decay_approx(0.999)
+        gap_approx = 2.0 * np.sqrt(2.0 * (1.0 - g))
         assert gap_true / gap_approx == pytest.approx(1.0, abs=0.05)

@@ -6,14 +6,12 @@ from isingring.ed_oracle import expectation, fermion_annihilation, quench_oracle
 from isingring.model import QuenchConfig
 from isingring.odd_observables import (
     CrossParityKernel,
-    c_expectations,
     c_expectations_series,
-    cross_parity_amplitude,
     longitudinal_magnetization,
     odd_rdm_entries,
-    string_expectations,
     string_signs,
 )
+from isingring.simulate import string_series
 
 
 def amps_at(n, g, t):
@@ -25,8 +23,7 @@ def test_initial_mode_expectations(n):
     # <c_j> = <(sx_j + i sy_j)/2> = 1/2 on site 1's frame at t=0, and the
     # x-polarized product state makes every longer string average to zero;
     # exact at any N, so N=60 checks both inserted operators past ED reach
-    even, odd = amps_at(n, 0.9, 0.0)
-    c = c_expectations(even, odd, n, tuple(range(1, n + 1)))
+    c = c_expectations_series([amps_at(n, 0.9, 0.0)], n, range(1, n + 1))[0]
     assert c[0] == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(c[1:], 0.0, atol=1e-12)
 
@@ -42,9 +39,9 @@ def test_longitudinal_magnetization_mapping():
 @pytest.mark.parametrize("n,g", [(4, 0.3), (6, 1.3), (8, 2.0)])
 def test_mode_expectations_match_exact_diagonalization(n, g):
     oracle = quench_oracle(n, g)
-    for t in (0.37, 2.1):
-        even, odd = amps_at(n, g, t)
-        got = c_expectations(even, odd, n, tuple(range(1, n + 1)))
+    times = (0.37, 2.1)
+    grid_pair = QuenchConfig(n, g, times).amplitudes(np.array(times))
+    for t, got in zip(times, c_expectations_series([grid_pair], n, range(1, n + 1))):
         state = oracle.state(t)
         ref = np.array(
             [expectation(state, n, fermion_annihilation(j)) for j in range(1, n + 1)]
@@ -54,8 +51,8 @@ def test_mode_expectations_match_exact_diagonalization(n, g):
 
 def test_string_expectations_match_exact_diagonalization():
     n, g, t = 8, 0.7, 1.1
-    even, odd = amps_at(n, g, t)
-    got = string_expectations(even, odd, n, range(1, n + 1))
+    series = string_series(QuenchConfig(n, g, [t]), range(1, n + 1))
+    got = np.array([series.column(f"x{j}")[0] for j in range(1, n + 1)])
     state = quench_oracle(n, g).state(t)
     ref = np.array([expectation(state, n, string_x(j)).real for j in range(1, n + 1)])
     np.testing.assert_allclose(got, ref, atol=1e-12)
@@ -70,14 +67,12 @@ def test_series_equals_pointwise():
     times = [0.0, 0.4, 1.7, 3.3]
     pairs = [amps_at(n, g, t) for t in times]
     series = c_expectations_series(pairs, n, (1, 2, 5))
-    for row, (even, odd) in zip(series, pairs):
-        np.testing.assert_allclose(row, c_expectations(even, odd, n, (1, 2, 5)),
+    for row, pair in zip(series, pairs):
+        np.testing.assert_allclose(row, c_expectations_series([pair], n, (1, 2, 5))[0],
                                    atol=1e-14)
     # one pair holding the whole grid is the same as a pair per time
     grid_pair = QuenchConfig(n, g, times).amplitudes(np.array(times))
     np.testing.assert_allclose(c_expectations_series([grid_pair], n, (1, 2, 5)),
-                               series, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(c_expectations(*grid_pair, n, (1, 2, 5)),
                                series, rtol=0, atol=1e-15)
 
 
@@ -92,10 +87,13 @@ def test_series_chunking_is_invisible(monkeypatch):
 
 
 def test_cross_parity_amplitude_single_site():
+    # a site asked for alone gets the value it has among others
     n, g, t = 6, 1.1, 0.9
-    even, odd = amps_at(n, g, t)
-    c2 = cross_parity_amplitude(even, odd, n, 2)
-    assert c2 == pytest.approx(complex(c_expectations(even, odd, n, (2,))[0]))
+    pair = amps_at(n, g, t)
+    c2 = c_expectations_series([pair], n, 2)
+    assert c2.shape == (1, 1)
+    assert complex(c2[0, 0]) == pytest.approx(
+        complex(c_expectations_series([pair], n, (1, 2, 5))[0, 1]))
 
 
 def test_mode_expectation_magnitude_bounded():
@@ -106,9 +104,8 @@ def test_mode_expectation_magnitude_bounded():
         n = int(rng.choice([6, 10, 16]))
         g = float(rng.uniform(0.1, 3.0))
         t = float(rng.uniform(0.0, 8.0))
-        even, odd = amps_at(n, g, t)
-        c = c_expectations(even, odd, n, (1,))
-        assert abs(c[0]) <= 0.5 + 1e-9
+        c = c_expectations_series([amps_at(n, g, t)], n, (1,))
+        assert abs(c[0, 0]) <= 0.5 + 1e-9
 
 
 def test_odd_rdm_entries_combination():
@@ -121,22 +118,22 @@ class TestValidation:
     def test_wrong_sector_order(self):
         even, odd = amps_at(6, 1.0, 0.5)
         with pytest.raises(ValueError, match="order"):
-            c_expectations(odd, even, 6, (1,))
+            c_expectations_series([(odd, even)], 6, (1,))
 
     def test_mismatched_times(self):
         even, _ = amps_at(6, 1.0, 0.5)
         _, odd = amps_at(6, 1.0, 0.7)
         with pytest.raises(ValueError, match="times differ"):
-            c_expectations(even, odd, 6, (1,))
+            c_expectations_series([(even, odd)], 6, (1,))
 
     def test_mismatched_ring_size(self):
         even, odd = amps_at(8, 1.0, 0.5)
         with pytest.raises(ValueError, match="ring size"):
-            c_expectations(even, odd, 6, (1,))
+            c_expectations_series([(even, odd)], 6, (1,))
 
     def test_site_out_of_range(self):
         even, odd = amps_at(6, 1.0, 0.5)
         with pytest.raises(ValueError, match="sites"):
-            c_expectations(even, odd, 6, (0,))
+            c_expectations_series([(even, odd)], 6, (0,))
         with pytest.raises(ValueError, match="sites"):
-            c_expectations(even, odd, 6, (7,))
+            c_expectations_series([(even, odd)], 6, (7,))

@@ -4,7 +4,7 @@ import pytest
 from isingring.ed_oracle import quench_oracle, two_site_rdm
 from isingring.even_observables import evaluate_even
 from isingring.model import QuenchConfig
-from isingring.odd_observables import c_expectations, odd_rdm_entries
+from isingring.odd_observables import c_expectations_series, odd_rdm_entries
 from isingring.rdm import (
     PAULI_2,
     SingleSiteRDM,
@@ -26,7 +26,7 @@ def random_density_matrix(rng, rank=4):
 def quench_rdm(n, g, t):
     cfg = QuenchConfig(n, g, [max(t, 0.0)])
     even, odd = cfg.amplitudes(t)
-    c1, c2 = c_expectations(even, odd, n, (1, 2))
+    c1, c2 = c_expectations_series([(even, odd)], n, (1, 2))[0]
     return assemble_two_site(evaluate_even(even, odd, n), *odd_rdm_entries(c1, c2))
 
 
@@ -40,6 +40,15 @@ def test_assembled_matches_exact_diagonalization():
     rho = quench_rdm(n, g, t)
     ref = two_site_rdm(quench_oracle(n, g).state(t), n)
     np.testing.assert_allclose(rho.matrix, ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("n,g", [(4, 0.5), (6, 1.0), (10, 0.3), (12, 1.53131)])
+def test_initial_product_state_has_no_concurrence(n, g):
+    # the t=0 state is a product state, rank one on every pair; square roots
+    # of roundoff in its zero eigenvalues would read as ~1e-8 concurrence
+    ed = TwoSiteRDM(two_site_rdm(quench_oracle(n, g).state(0.0), n))
+    assert concurrence(quench_rdm(n, g, 0.0)) < 1e-12
+    assert concurrence(ed) < 1e-12
 
 
 class TestSingleSiteRDM:
@@ -163,13 +172,16 @@ class TestConcurrence:
 
 
 def test_stack_measures_equal_per_matrix_values():
-    # full rank: for rank-deficient states sqrt(rho) turns one-ulp noise
-    # in the near-zero eigenvalues into ~1e-9 concurrence differences
     rng = np.random.default_rng(21)
     rhos = [random_density_matrix(rng) for _ in range(5)]
     stack = TwoSiteRDM(np.array([r.matrix for r in rhos]))
     np.testing.assert_allclose(concurrence(stack), [concurrence(r) for r in rhos],
                                rtol=0, atol=1e-15)
+    # rank-deficient members too: one-ulp noise in their zero eigenvalues
+    # must not reach the concurrence as its square root (~1e-8)
+    low = [random_density_matrix(rng, rank) for rank in (1, 2, 3, 1)]
+    np.testing.assert_allclose(concurrence(TwoSiteRDM(np.array([r.matrix for r in low]))),
+                               [concurrence(r) for r in low], rtol=0, atol=1e-14)
     for a, b in (("z", "z"), ("x", "x"), ("x", "y"), ("x", "z"), ("y", "i")):
         np.testing.assert_allclose(pauli_correlation(stack, a, b),
                                    [pauli_correlation(r, a, b) for r in rhos],
