@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -57,14 +58,21 @@ def _nonempty(values: list) -> list:
 
 
 def _float_list(text: str) -> list[float]:
-    """Parse '0.5,1.0' or 'start:step:stop' (stop inclusive)."""
+    """Parse '0.5,1.0' or 'start:step:stop' (stop inclusive).
+
+    Range points are start + i*step in decimal arithmetic, each rounded
+    once to a float, so '0.9:0.05:1.0' gives exactly 0.9, 0.95, 1.0.
+    """
     if ":" in text:
-        start, step, stop = (float(p) for p in text.split(":"))
+        bounds = text.split(":")
+        start, step, stop = (float(p) for p in bounds)   # rejects junk
+        if not np.isfinite([start, step, stop]).all():
+            raise argparse.ArgumentTypeError("range bounds must be finite")
         if step <= 0:
             raise argparse.ArgumentTypeError("range step must be positive")
-        n = int(round((stop - start) / step))
-        vals = [start + i * step for i in range(n + 1)]
-        return _nonempty([v for v in vals if v <= stop + 1e-12])
+        start, step, stop = (Decimal(p.strip()) for p in bounds)
+        n = int((stop - start) // step)
+        return _nonempty([float(start + i * step) for i in range(max(n, -1) + 1)])
     return _nonempty([float(p) for p in text.split(",") if p.strip()])
 
 
@@ -76,7 +84,10 @@ def _pair(text: str) -> tuple[float, float]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected 'lo,hi'")
-    return parts[0], parts[1]
+    lo, hi = parts
+    if not 0.0 <= lo < hi:
+        raise argparse.ArgumentTypeError(f"need 0 <= lo < hi, got {text!r}")
+    return lo, hi
 
 
 def _time_grid(t_min: float, t_max: float, dt: float) -> np.ndarray:

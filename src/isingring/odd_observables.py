@@ -34,11 +34,29 @@ exp(2it) phase of the odd sector enters through ModeAmplitudes.phase.
 
 The contraction matrix factorizes into a time-independent core (Fourier
 overlaps between the two grids) scaled by the time-dependent amplitudes
-on each row and column, so a ring size costs one O(N^3) core build.  Per
-chunk of times the scaled matrix is assembled once; each site then only
-writes the row of c_j or the column of c+_j into the inserted operator's
-slot, and each (time, site) costs two Pfaffians, pushed through the
-batched elimination for the whole chunk at once.
+on each row and column, so a ring size costs one O(N^3) core build.  Its
+blocks are sparse in a way the evaluation exploits: the bra-bra block A
+is 2x2-block-diagonal with one entry p_k per bra pair, the ket-ket block B
+is 2x2-block-diagonal too, the bra-ket block C is dense, and the inserted
+operator touches only ket columns (c_j) or only bra rows (c+_j).
+Eliminating A by a Schur complement,
+
+    Pf(S) = Pf(A) Pf([[0, border], [-border^T, M]]),   M = B + C^T A^-1 C,
+
+leaves an (N-1) x (N-1) matrix M that is the same for every site; the
+site enters only through the border row, and the Pfaffian is linear in
+it.  Bordering M once with a fixed reference row gives, from one pivoted
+elimination per time, both its Pfaffian and the vector w that turns
+every site's border into its Pfaffian by a dot product.  So a time costs
+one matrix product to form M and one N-dimensional elimination, plus O(N)
+per site, whatever the site list.
+
+p_k is conj(u_k) of a bra pair, which vanishes exactly at g=1 whenever
+Lambda_k t = pi/2, and A^-1 would then amplify roundoff by 1/|p_k|.  Bra
+pairs whose |p_k| falls below PAIR_TOL times the largest one at any time
+of the evaluated batch are therefore kept in the reduced matrix instead
+of being eliminated, where the pivoted elimination handles them; every
+time of a batch shares that retained set, so the stack has one shape.
 """
 
 from __future__ import annotations
@@ -50,24 +68,31 @@ import numpy as np
 from .model import EVEN, ODD, RELATIVE_PHASE, momentum_grids
 from .pfaffian import pfaffian_batch
 
-#: Complex elements per chunk of stacked contraction matrices (memory cap).
-CHUNK_ELEMS = 2_000_000
+#: Bra pairs with |p_k| <= PAIR_TOL * max |p_k| stay in the reduced matrix.
+PAIR_TOL = 1e-3
+
+#: Golden-ratio phases of the fixed reference border row.
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class CrossParityKernel:
     """Evaluator of <c_j> on a ring of fixed size.
 
-    Builds the contraction core of <phi_+| . |phi_-> once; `c_series` then
-    needs only the mode amplitudes of the two sectors along the time grid.
-    Both cross terms come from that one core: inserting c_j gives
-    <phi_+| c_j |phi_->, and inserting c+_j gives <phi_+| c+_j |phi_->,
-    the complex conjugate of <phi_-| c_j |phi_+>.
+    Builds the time-independent parts of the contraction matrix of
+    <phi_+| . |phi_-> once; `c_series` then needs only the mode amplitudes
+    of the two sectors along the time grid.  Both cross terms come from
+    that one matrix: inserting c_j gives <phi_+| c_j |phi_->, and
+    inserting c+_j gives <phi_+| c+_j |phi_->, the complex conjugate of
+    <phi_-| c_j |phi_+>.
 
-    `core` holds the Fourier part of all pairwise contractions; `fa`/`fb`
-    keep the annihilation/creation coefficient rows so the slot row (c_j)
-    or slot column (c+_j) of the contraction matrix can be read off per
-    site.  Index arrays locate the rows whose amplitude scaling changes
-    with time.
+    Factor order: bra pairs (reversed momentum order) as rows 2i
+    (conj(C_k), annihilating) and 2i+1 (conj(B_k)); then the inserted
+    operator; then the ket's c+_0 and its pairs as B_q, C_q.  `fa_bra`
+    holds the annihilation coefficients of the bra rows and `fb_ket` the
+    creation coefficients of the ket rows, per site; `c_core` is their
+    overlap, the bra-ket block before amplitude scaling.  Inside a pair
+    the two plane waves overlap to exactly 1, so the bra-bra entry of
+    pair k is conj(u_k) and the ket-ket entry of pair q is u_q.
     """
 
     def __init__(self, n_sites: int):
@@ -77,66 +102,81 @@ class CrossParityKernel:
         k_ket = odd.positive
         sites = np.arange(1, n + 1)
         omega = np.exp(-1j * np.pi / 4) / np.sqrt(n)
-        slot = 2 * k_bra.size                   # inserted operator, per site
-        ket_b_rows = slot + 2 + 2 * np.arange(k_ket.size)
 
         bra_p, bra_m = (np.exp(sign * 1j * np.outer(k_bra, sites)) for sign in (1, -1))
         ket_p, ket_m = (np.exp(sign * 1j * np.outer(k_ket, sites)) for sign in (1, -1))
-        fa = np.zeros((2 * n, n), dtype=complex)
-        fb = np.zeros((2 * n, n), dtype=complex)
-        fa[0:slot:2] = omega * bra_p            # bra pairs: conj(C_k) ...
-        fa[1:slot:2] = omega * bra_m            # ... then conj(B_k)
-        fb[1:slot:2] = omega.conjugate() * bra_m
-        fb[slot + 1] = omega.conjugate()        # leading c+_0 of the ket
-        fa[ket_b_rows] = omega * ket_p          # ket pairs: B_k then C_k
-        fb[ket_b_rows] = omega.conjugate() * ket_p
-        fb[ket_b_rows + 1] = omega.conjugate() * ket_m
-
-        self.a_scale = np.zeros(2 * n, dtype=complex)
-        self.b_scale = np.zeros(2 * n, dtype=complex)
-        self.a_scale[0:slot:2] = 1.0            # conj(C) rows annihilate
-        self.b_scale[ket_b_rows + 1] = 1.0      # C rows create
-        self.b_scale[slot + 1] = 1.0
-        self.core = fa @ fb.T
-        self.fa, self.fb = fa, fb
-        self.slot = slot
-        self.bra_bdag_rows = 2 * np.arange(k_bra.size) + 1
-        self.ket_b_rows = ket_b_rows
+        fa_bra = np.empty((n, n), dtype=complex)
+        fa_bra[0::2] = omega * bra_p            # bra pairs: conj(C_k) ...
+        fa_bra[1::2] = omega * bra_m            # ... then conj(B_k)
+        fb_ket = np.empty((n - 1, n), dtype=complex)
+        fb_ket[0] = omega.conjugate()           # leading c+_0 of the ket
+        fb_ket[1::2] = omega.conjugate() * ket_p   # ket pairs: B_q then C_q
+        fb_ket[2::2] = omega.conjugate() * ket_m
+        self.fa_bra, self.fb_ket = fa_bra, fb_ket
+        self.c_core = fa_bra @ fb_ket.T
 
     def _matrix_elements(self, eu, ev, ou, ov, sites):
         """Pfaffians with c_j and with c+_j in the slot, each (times, sites)."""
-        n_t = eu.shape[0]
-        a_all = np.tile(self.a_scale, (n_t, 1))
-        b_all = np.tile(self.b_scale, (n_t, 1))
-        a_all[:, self.bra_bdag_rows] = ev.conj()[:, ::-1]
-        b_all[:, self.bra_bdag_rows] = eu.conj()[:, ::-1]
-        a_all[:, self.ket_b_rows] = ou
-        b_all[:, self.ket_b_rows] = ov
-        m, slot = self.core.shape[0], self.slot
-        pf_c = np.empty((n_t, len(sites)), dtype=complex)
-        pf_cdag = np.empty_like(pf_c)
-        step = max(1, CHUNK_ELEMS // (m * m))
-        for start in range(0, n_t, step):
-            sl = slice(start, min(start + step, n_t))
-            a, b = a_all[sl], b_all[sl]
-            # slot row and column are zero here: a_scale and b_scale vanish there
-            s = np.triu(a[:, :, None] * self.core[None, :, :] * b[:, None, :], 1)
-            s -= np.transpose(s, (0, 2, 1))
-            c_row, cdag_row = np.zeros_like(a), np.zeros_like(a)
-            for si, j in enumerate(sites):
-                # c_j fills the slot row right of the slot, c+_j the column
-                # above it; the slot row is stored and its column is -row
-                c_row[:, slot + 1:] = b[:, slot + 1:] * self.fb[slot + 1:, j - 1]
-                cdag_row[:, :slot] = -a[:, :slot] * self.fa[:slot, j - 1]
-                for row, out in ((c_row, pf_c), (cdag_row, pf_cdag)):
-                    s[:, slot, :] = row
-                    s[:, :, slot] = -row
-                    out[sl, si] = pfaffian_batch(s)
+        n_t, n = eu.shape[0], self.n_sites
+        cols = np.asarray(sites) - 1
+        u_bra, v_bra = eu.conj()[:, ::-1], ev.conj()[:, ::-1]
+        a_bra = np.ones((n_t, n), dtype=complex)     # conj(C) rows: 1
+        a_bra[:, 1::2] = v_bra
+        b_ket = np.ones((n_t, n - 1), dtype=complex)  # c+_0 and C rows: 1
+        b_ket[:, 1::2] = ov
+        p = u_bra                                     # A[2i, 2i+1]
+        absp = np.abs(p)
+        keep = np.any(absp <= PAIR_TOL * absp.max(-1, keepdims=True), axis=0)
+        kept = np.flatnonzero(keep)
+        kept_rows = np.column_stack([2 * kept, 2 * kept + 1]).ravel()
+        inv_p = np.zeros_like(p)
+        np.divide(1.0, p, out=inv_p, where=~keep)
+
+        # reduced matrix: reference border, kept bra rows, ket rows
+        nr = kept_rows.size
+        dim = n + nr
+        mat = np.zeros((n_t, dim, dim), dtype=complex)
+        rho = np.exp(2j * np.pi * _GOLDEN * np.arange(dim - 1))
+        mat[:, 0, 1:] = rho
+        mat[:, 1:, 0] = -rho
+        # M = B + C^T A^-1 C over the eliminated pairs, one matmul per batch
+        half = np.matmul(self.c_core[1::2].T * (v_bra * inv_p)[:, None, :], self.c_core[0::2])
+        m = mat[:, 1 + nr:, 1 + nr:]
+        m[:] = b_ket[:, :, None] * (half - half.transpose(0, 2, 1)) * b_ket[:, None, :]
+        q = np.arange(ou.shape[1])
+        m[:, 1 + 2 * q, 2 + 2 * q] += ou
+        m[:, 2 + 2 * q, 1 + 2 * q] -= ou
+        c_kept = a_bra[:, kept_rows, None] * self.c_core[kept_rows] * b_ket[:, None, :]
+        mat[:, 1:1 + nr, 1 + nr:] = c_kept
+        mat[:, 1 + nr:, 1:1 + nr] = -c_kept.transpose(0, 2, 1)
+        s = np.arange(kept.size)
+        mat[:, 1 + 2 * s, 2 + 2 * s] = p[:, kept]
+        mat[:, 2 + 2 * s, 1 + 2 * s] = -p[:, kept]
+
+        rhs = np.zeros((n_t, dim), dtype=complex)
+        rhs[:, 0] = 1.0
+        pf_rho, x = pfaffian_batch(mat, rhs)
+        # x[1:] spans the null vector of M, so the Pfaffian with border b
+        # is b . w with w = Pf(A over eliminated pairs) Pf(M_rho) x[1:]
+        w = (np.prod(np.where(keep, 1.0, p), axis=-1) * pf_rho)[:, None] * x[:, 1:]
+        bw = b_ket * w[:, nr:]
+        pf_c = bw @ self.fb_ket[:, cols]
+        # the c+_j border is [q_kept, -q^T A^-1 C] with q = -a_bra fa_bra[:, j]
+        y = a_bra * (bw @ self.c_core.T)             # C w, bra rows
+        h = np.empty_like(y)
+        h[:, 0::2] = -y[:, 1::2] * inv_p
+        h[:, 1::2] = y[:, 0::2] * inv_p
+        h *= a_bra
+        h[:, kept_rows] = -a_bra[:, kept_rows] * w[:, :nr]
+        pf_cdag = h @ self.fa_bra[:, cols]
         return pf_c, pf_cdag
 
     def c_series(self, amps_pairs, sites=(1, 2)) -> np.ndarray:
         """<c_j> along (even, odd) amplitude pairs, each holding one time or
-        a time grid, stacked in order; shape (times, sites)."""
+        a time grid, stacked in order; shape (times, sites).
+
+        All times of one call form one batch: one (times, n, n) stack and
+        one retained-pair set, so callers pass grids in blocks."""
         sites = [int(s) for s in np.atleast_1d(sites)]
         if any(not 1 <= s <= self.n_sites for s in sites):
             raise ValueError(f"sites must lie in 1..{self.n_sites}, got {sites}")

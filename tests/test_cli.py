@@ -154,8 +154,31 @@ def test_invalid_ring_size_reports_cleanly(capsys):
 
 
 def test_float_list_range_syntax():
-    assert _float_list("0.9:0.05:1.0") == pytest.approx([0.9, 0.95, 1.0])
+    assert _float_list("0.9:0.05:1.0") == [0.9, 0.95, 1.0]
+    assert _float_list("0:0.1:0.3") == [0.0, 0.1, 0.2, 0.3]
+    assert _float_list("0.9:0.005:1.0")[-2:] == [0.995, 1.0]
     assert _float_list("0.3,1.5") == [0.3, 1.5]
+
+
+def test_sweep_echoes_exact_range_fields(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-g", "--n-sites", "4", "--g-list", "0.9:0.05:1.0",
+                 "--t-max", "0.1", "--dt", "0.1", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "# g-list = 0.90000000000000002,0.94999999999999996,1" in text
+    assert "0.9500000000000001" not in text
+    _, _, rows = parse_csv(text)
+    assert sorted(set(rows[:, 0])) == [0.9, 0.95, 1.0]
+
+
+@pytest.mark.parametrize("window", ["20,10", "-1,5", "5,5"])
+def test_fit_window_must_be_ordered_and_nonnegative(window, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--n-sites", "6", "--g-list", "0.5", f"--window={window}"])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "argument --window" in err_text
+    assert "need 0 <= lo < hi" in err_text and "--t-max" not in err_text
 
 
 @pytest.mark.parametrize("command", ["sweep-g", "fit"])

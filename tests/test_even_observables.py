@@ -1,15 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import integrate
 
-from isingring.ed_oracle import one_site_rdm, quench_oracle, two_site_rdm
+import isingring.even_observables as even_mod
+
+from isingring.ed_oracle import expectation, one_site_rdm, pauli_factor, quench_oracle, two_site_rdm
 from isingring.even_observables import (
     EvenObservables,
+    QuadratureError,
     asymptotic_order_decay,
     double_occupancy,
     evaluate_even,
     thermo_cxx,
     thermo_rho11,
     thermo_sz,
+    xx_correlator,
 )
 from isingring.model import EVEN, QuenchConfig
 
@@ -80,6 +87,36 @@ def test_time_grid_equals_single_times():
         np.testing.assert_allclose(getattr(grid, field), stacked, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+def test_xx_correlator_matches_exact_diagonalization(g):
+    n = 10
+    times = np.array([0.0, 0.7, 2.3])
+    even, odd = QuenchConfig(n, g, times).amplitudes(times)
+    oracle = quench_oracle(n, g)
+    for r in range(1, n):
+        ref = [expectation(oracle.state(t), n,
+                           pauli_factor("x", 1) + pauli_factor("x", 1 + r)).real
+               for t in times]
+        np.testing.assert_allclose(xx_correlator(even, odd, n, r), ref, rtol=0, atol=1e-13)
+
+
+def test_xx_correlator_time_grid_equals_single_times():
+    n, g, r = 12, 0.8, 5
+    times = np.array([0.2, 1.1, 3.0])
+    grid = xx_correlator(*QuenchConfig(n, g, times).amplitudes(times), n, r)
+    assert grid.shape == (3,)
+    for t, value in zip(times, grid):
+        single = xx_correlator(*amps_at(n, g, t), n, r)
+        assert np.ndim(single) == 0
+        assert single == pytest.approx(value, abs=1e-15)
+
+
+@pytest.mark.parametrize("r", [0, 12, -1])
+def test_xx_correlator_rejects_bad_distance(r):
+    with pytest.raises(ValueError, match="distance"):
+        xx_correlator(*amps_at(12, 1.0, 0.5), 12, r)
+
+
 def test_rho22_closes_the_diagonal():
     obs = EvenObservables(sz=0.1, rho14=0.0, rho23=0.0, rho11=0.2)
     # <n_1> = (1 + sz)/2 must equal rho11 + rho22
@@ -136,3 +173,13 @@ class TestOrderParameterDecayLaw:
         gap_true = 4.0 / np.pi - rate
         gap_approx = 2.0 * np.sqrt(2.0 * (1.0 - g))
         assert gap_true / gap_approx == pytest.approx(1.0, abs=0.05)
+
+
+def test_thermo_rho11_escalates_quadrature_warning(monkeypatch):
+    def unconverged(*args, **kwargs):
+        warnings.warn("roundoff error is detected", integrate.IntegrationWarning)
+        return 0.123, 1.0
+
+    monkeypatch.setattr(even_mod.integrate, "dblquad", unconverged)
+    with pytest.raises(QuadratureError, match="rho11"):
+        thermo_rho11(1.0, 0.5)

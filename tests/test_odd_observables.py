@@ -1,21 +1,72 @@
 import numpy as np
 import pytest
 
-import isingring.odd_observables as odd_mod
 from isingring.ed_oracle import expectation, fermion_annihilation, quench_oracle, string_x
-from isingring.model import QuenchConfig
+from isingring.even_observables import xx_correlator
+from isingring.model import RELATIVE_PHASE, QuenchConfig, dispersion, momentum_grids
 from isingring.odd_observables import (
-    CrossParityKernel,
+    PAIR_TOL,
     c_expectations_series,
     longitudinal_magnetization,
     odd_rdm_entries,
     string_signs,
 )
+from isingring.pfaffian import pfaffian_batch
 from isingring.simulate import string_series
 
 
 def amps_at(n, g, t):
     return QuenchConfig(n, g, [max(t, 0.0)]).amplitudes(t)
+
+
+def dense_c_expectations(n, even, odd, sites):
+    """<c_j> from the full 2N x 2N contraction matrix, one Pfaffian per
+    (time, site, inserted operator): the reference for the Schur path.
+
+    Factor order: bra pairs (reversed momenta) as conj(C_k), conj(B_k);
+    the inserted operator's slot; the ket's c+_0, then B_q, C_q per pair.
+    """
+    k_bra, k_ket = momentum_grids(n)[0].positive[::-1], momentum_grids(n)[1].positive
+    l = np.arange(1, n + 1)
+    omega = np.exp(-1j * np.pi / 4) / np.sqrt(n)
+    slot = n
+    ket_b = slot + 2 + 2 * np.arange(k_ket.size)
+    fa = np.zeros((2 * n, n), dtype=complex)
+    fb = np.zeros((2 * n, n), dtype=complex)
+    fa[0:slot:2] = omega * np.exp(1j * np.outer(k_bra, l))
+    fa[1:slot:2] = omega * np.exp(-1j * np.outer(k_bra, l))
+    fb[1:slot:2] = np.conj(omega) * np.exp(-1j * np.outer(k_bra, l))
+    fb[slot + 1] = np.conj(omega)
+    fa[ket_b] = omega * np.exp(1j * np.outer(k_ket, l))
+    fb[ket_b] = np.conj(omega) * np.exp(1j * np.outer(k_ket, l))
+    fb[ket_b + 1] = np.conj(omega) * np.exp(-1j * np.outer(k_ket, l))
+    eu, ev, ou, ov = (np.atleast_2d(x) for x in (even.u, even.v, odd.u, odd.v))
+    a = np.zeros((eu.shape[0], 2 * n), dtype=complex)
+    b = np.zeros_like(a)
+    a[:, 0:slot:2] = 1.0
+    a[:, 1:slot:2], b[:, 1:slot:2] = ev.conj()[:, ::-1], eu.conj()[:, ::-1]
+    a[:, ket_b], b[:, ket_b] = ou, ov
+    b[:, ket_b + 1] = b[:, slot + 1] = 1.0
+    s = np.triu(a[:, :, None] * (fa @ fb.T) * b[:, None, :], 1)
+    s -= s.transpose(0, 2, 1)
+    pf = {}
+    for j in sites:
+        c_row, cdag_row = np.zeros_like(a), np.zeros_like(a)
+        c_row[:, slot + 1:] = b[:, slot + 1:] * fb[slot + 1:, j - 1]
+        cdag_row[:, :slot] = -a[:, :slot] * fa[:slot, j - 1]
+        for name, row in (("c", c_row), ("cdag", cdag_row)):
+            s[:, slot, :] = row
+            s[:, :, slot] = -row
+            pf[name, j] = pfaffian_batch(s)
+    w = RELATIVE_PHASE * np.atleast_1d(odd.phase)
+    return np.column_stack([0.5 * (w * pf["c", j] + np.conj(w * pf["cdag", j]))
+                            for j in sites])
+
+
+def critical_zero_time(n, pair):
+    """A time at which u_k of an even-sector pair vanishes at g=1."""
+    k = momentum_grids(n)[0].positive[pair]
+    return np.pi / (2.0 * dispersion(1.0, k))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12, 60])
@@ -76,14 +127,49 @@ def test_series_equals_pointwise():
                                series, rtol=0, atol=1e-15)
 
 
-def test_series_chunking_is_invisible(monkeypatch):
-    n, g = 8, 0.8
-    pairs = [amps_at(n, g, t) for t in np.linspace(0.0, 2.0, 7)]
-    kernel = CrossParityKernel(n)
-    full = kernel.c_series(pairs, (1, 2))
-    monkeypatch.setattr(odd_mod, "CHUNK_ELEMS", 1)  # force one time per chunk
-    tiny = CrossParityKernel(n).c_series(pairs, (1, 2))
-    np.testing.assert_allclose(tiny, full, atol=1e-14)
+@pytest.mark.parametrize("n", [60, 100])
+@pytest.mark.parametrize("g", [0.3, 1.0, 3.0])
+def test_schur_path_matches_dense_pfaffians(n, g):
+    # the grid holds an exact zero of the bra pair entry p_k = conj(u_k) at
+    # g=1, where eliminating that pair would divide by ~1e-17
+    times = np.sort([0.0, 0.8, critical_zero_time(n, 2), n / 8.0, n / 4.0 + 0.3])
+    pair = QuenchConfig(n, g, times).amplitudes(times)
+    if g == 1.0:
+        assert np.min(np.abs(pair[0].u)) < 1e-15
+    sites = (1, 2, n // 3, n - 1, n)
+    got = c_expectations_series([pair], n, sites)
+    np.testing.assert_allclose(got, dense_c_expectations(n, *pair, sites), rtol=0, atol=1e-12)
+
+
+def test_retained_pairs_do_not_change_values():
+    # a block holding an exact zero of p_k keeps that bra pair in the reduced
+    # matrix for all its times; alone, the other times eliminate every pair
+    n, g = 30, 1.0
+    times = np.sort([0.3, critical_zero_time(n, 1), 1.9, 4.4])
+    even, odd = QuenchConfig(n, g, times).amplitudes(times)
+    p = np.abs(even.u)
+    small = p <= PAIR_TOL * p.max(-1, keepdims=True)
+    assert small.any(axis=0).sum() >= 1
+    assert not small[[0, 2, 3]].any()
+    sites = range(1, n + 1)
+    block = c_expectations_series([(even, odd)], n, sites)
+    for row, t in zip(block, times):
+        np.testing.assert_allclose(row, c_expectations_series([amps_at(n, g, t)], n, sites)[0],
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+@pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+def test_order_parameter_squares_to_distant_correlator(n, g):
+    # outside the light cone (2 v_max t < r) the connected part of
+    # <sx_1 sx_{1+r}> is exponentially small, so it equals <sx>^2; the
+    # correlator comes from same-sector Wick contractions alone
+    r = n // 2
+    times = np.linspace(0.0, r / (4.0 * 2.0 * min(g, 1.0)), 4)
+    even, odd = QuenchConfig(n, g, times).amplitudes(times)
+    sx = 2.0 * c_expectations_series([(even, odd)], n, (1,))[:, 0].real
+    gap = np.abs(xx_correlator(even, odd, n, r) - sx**2) / sx**2
+    assert gap.max() <= 1e-10
 
 
 def test_cross_parity_amplitude_single_site():

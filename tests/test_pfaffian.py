@@ -159,6 +159,36 @@ def test_batch_retires_singular_members():
     assert got[2] == pytest.approx(pfaffian(stack[2]), rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 24])
+def test_rhs_solves_the_system_with_the_same_pfaffian(n):
+    rng = np.random.default_rng(n)
+    stack = np.array([random_skew(rng, n) for _ in range(4)])
+    if n > 2:
+        stack[0, 0, 1] = stack[0, 1, 0] = 0.0     # forces a pivot swap at step 0
+    rhs = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    pf, x = pfaffian_batch(stack, rhs)
+    np.testing.assert_array_equal(pf, pfaffian_batch(stack))
+    np.testing.assert_allclose(np.einsum("bij,bj->bi", stack, x), rhs, rtol=0, atol=1e-12)
+
+
+def test_rhs_of_retired_member_is_zero():
+    rng = np.random.default_rng(5)
+    stack = np.array([random_skew(rng, 6), np.zeros((6, 6))])
+    pf, x = pfaffian_batch(stack, np.ones((2, 6)))
+    assert pf[1] == 0.0
+    np.testing.assert_array_equal(x[1], 0.0)
+    np.testing.assert_allclose(stack[0] @ x[0], np.ones(6), atol=1e-12)
+    pf, x = pfaffian_batch(np.zeros((1, 4, 4)), np.ones((1, 4)))
+    assert pf[0] == 0.0 and not x.any()
+
+
+def test_rhs_shape_must_match_the_stack():
+    with pytest.raises(ValueError, match="rhs"):
+        pfaffian_batch(np.zeros((2, 4, 4)), np.zeros((2, 3)))
+    pf, x = pfaffian_batch(np.zeros((3, 0, 0)), np.zeros((3, 0)))
+    assert x.shape == (3, 0) and np.all(pf == 1.0)
+
+
 def test_batch_degenerate_shapes():
     np.testing.assert_array_equal(pfaffian_batch(np.zeros((3, 0, 0))), np.ones(3))
     assert pfaffian_batch(np.zeros((0, 4, 4))).size == 0
