@@ -100,7 +100,35 @@ def _time_grid(t_min: float, t_max: float, dt: float) -> np.ndarray:
     return t_min + dt * np.arange(n + 1)
 
 
-def _write_table(args, spec: dict, columns: dict) -> None:
+def _echo(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return ",".join(_echo(v) for v in value)
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _spec(args) -> dict:
+    """The header echo: the command, the version and every parsed option
+    except the worker count and the output paths."""
+    spec = {key.replace("_", "-"): _echo(value) for key, value in vars(args).items()
+            if key not in ("func", "workers", "out", "json_out")}
+    spec["version"] = __version__
+    return spec
+
+
+def _require_finite(columns: dict) -> dict:
+    """The table itself, unless a cell is not finite: then a ValueError
+    naming the column and time of the first such cell, row by row."""
+    data = np.column_stack(list(columns.values()))
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"column {list(columns)[col]} is not finite at "
+                         f"t = {_fmt(columns['t'][row])}; nothing written")
+    return columns
+
+
+def _write_table(args, columns: dict) -> None:
+    spec = _spec(args)
     lines = [f"# {key} = {spec[key]}" for key in sorted(spec)]
     lines.append(",".join(columns))
     ncols = len(columns)
@@ -115,7 +143,7 @@ def _write_table(args, spec: dict, columns: dict) -> None:
             fh.write(text)
     if getattr(args, "json_out", None):
         payload = {
-            "spec": {k: str(spec[k]) for k in sorted(spec)},
+            "spec": {k: spec[k] for k in sorted(spec)},
             "columns": list(columns),
             "rows": [[float(data[c][i]) for c in range(ncols)]
                      for i in range(len(data[0]))],
@@ -125,24 +153,11 @@ def _write_table(args, spec: dict, columns: dict) -> None:
             fh.write("\n")
 
 
-def _base_spec(args, command: str) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "n-sites": args.n_sites,
-        "t-min": _fmt(args.t_min),
-        "t-max": _fmt(args.t_max),
-        "dt": _fmt(args.dt),
-    }
-
-
 def cmd_evolve(args) -> int:
     config = QuenchConfig(args.n_sites, args.g,
                           _time_grid(args.t_min, args.t_max, args.dt))
     series = compute_series(config, workers=args.workers)
-    spec = _base_spec(args, "evolve")
-    spec["g"] = _fmt(args.g)
-    _write_table(args, spec, series.columns)
+    _write_table(args, _require_finite(series.columns))
     return 0
 
 
@@ -150,10 +165,7 @@ def cmd_string_op(args) -> int:
     config = QuenchConfig(args.n_sites, args.g,
                           _time_grid(args.t_min, args.t_max, args.dt))
     series = string_series(config, args.sites, workers=args.workers)
-    spec = _base_spec(args, "string-op")
-    spec["g"] = _fmt(args.g)
-    spec["sites"] = ",".join(str(s) for s in args.sites)
-    _write_table(args, spec, series.columns)
+    _write_table(args, _require_finite(series.columns))
     return 0
 
 
@@ -167,9 +179,7 @@ def cmd_sweep_g(args) -> int:
         for name in SERIES_COLUMNS:
             blocks[name].append(series.columns[name])
     columns = {name: np.concatenate(parts) for name, parts in blocks.items()}
-    spec = _base_spec(args, "sweep-g")
-    spec["g-list"] = ",".join(_fmt(g) for g in args.g_list)
-    _write_table(args, spec, columns)
+    _write_table(args, _require_finite(columns))
     return 0
 
 
@@ -192,16 +202,7 @@ def cmd_fit(args) -> int:
                                        fit.prefactor_err, fit.rate_err,
                                        fit.residual, a_formula, rate_quad)):
             rows[name].append(value)
-    columns = {name: np.asarray(vals) for name, vals in rows.items()}
-    spec = {
-        "command": "fit",
-        "version": __version__,
-        "n-sites": args.n_sites,
-        "dt": _fmt(args.dt),
-        "window": f"{_fmt(lo)},{_fmt(hi)}",
-        "g-list": ",".join(_fmt(g) for g in args.g_list),
-    }
-    _write_table(args, spec, columns)
+    _write_table(args, {name: np.asarray(vals) for name, vals in rows.items()})
     return 0
 
 
@@ -242,16 +243,7 @@ def cmd_limits(args) -> int:
     columns: dict[str, np.ndarray] = {"t": grid}
     for q in args.quantities:
         columns[q] = np.array([evaluators[q](args.g, float(t)) for t in grid])
-    spec = {
-        "command": "limits",
-        "version": __version__,
-        "g": _fmt(args.g),
-        "t-min": _fmt(args.t_min),
-        "t-max": _fmt(args.t_max),
-        "dt": _fmt(args.dt),
-        "quantities": ",".join(args.quantities),
-    }
-    _write_table(args, spec, columns)
+    _write_table(args, columns)
     return 0
 
 

@@ -1,16 +1,17 @@
-"""Parity-even observables: closed mode sums and their N -> infinity limits.
+"""Parity-even observables: Wick averages of the sector two-point functions.
 
 Operators with an even number of Jordan-Wigner fermions (sigma^z, the
 number-conserving and pair-creating two-site terms) take equal-weight
 diagonal expectations in the two parity sectors,
 
-    <A> = ( <phi_+|A|phi_+> + <phi_-|A|phi_-> ) / 2,
+    <A> = ( <phi_+|A|phi_+> + <phi_-|A|phi_-> ) / 2.
 
-and each sector expectation reduces to sums over its own pair modes.  The
-double momentum sums entering the double occupancy <n_1 n_2> are
-rearranged exactly into rank-one quadratic forms, so every observable here
-costs O(N) per time point; every sum runs over the momentum axis (the
-last one), so a whole time grid of amplitudes is reduced at once.
+Each sector state is Gaussian, so by Wick's theorem each sector value is
+a polynomial in that sector's two-point functions <c+_i c_j> and
+<c_i c_j>, translation invariant and O(N) momentum sums per distance
+(Calabrese, Essler & Fagotti, PRL 106, 227203 (2011)).  Every sum runs
+over the momentum axis (the last one), so a whole time grid of
+amplitudes is reduced at once.
 
 The same integrands evaluated on a continuous momentum give the
 thermodynamic limits (transverse magnetization, xx correlator, double
@@ -27,68 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .model import EVEN, ModeAmplitudes, _sin_over, dispersion, mode_uv
+from .model import ODD, ModeAmplitudes, _sin_over, dispersion, mode_uv
 from .pfaffian import pfaffian_batch
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge and the fallback disagreed."""
-
-
-def transverse_magnetization(even: ModeAmplitudes, odd: ModeAmplitudes,
-                             n_sites: int):
-    """<sigma^z> per site; the +1 counts the occupied unpaired k=0 mode."""
-    total = (np.abs(even.v) ** 2).sum(-1) + (np.abs(odd.v) ** 2).sum(-1)
-    return (2.0 * total + 1.0) / n_sites - 1.0
-
-
-def pair_entries(even: ModeAmplitudes, odd: ModeAmplitudes, n_sites: int):
-    """(rho_14, rho_23): pair-creation and exchange entries of the 2-site RDM.
-
-    rho_14 = <c_1 c_2> collects sin(k) u*_k v_k over both grids; rho_23 =
-    <c+_1 c_2> collects cos(k) |u_k|^2, with the -1/2N offset again from
-    the unpaired modes.
-    """
-    rho14 = 0j
-    cos_u2 = 0.0
-    for amps in (even, odd):
-        k, u = amps.momenta, amps.u
-        rho14 += (np.sin(k) * np.conj(u) * amps.v).sum(-1)
-        cos_u2 += (np.cos(k) * np.abs(u) ** 2).sum(-1)
-    rho23 = -(2.0 * cos_u2 - 1.0) / (2.0 * n_sites)
-    return rho14 / n_sites, rho23
-
-
-def double_occupancy(even: ModeAmplitudes, odd: ModeAmplitudes, n_sites: int):
-    """rho_11 = <n_1 n_2>, the up-up weight of the two-site RDM.
-
-    The k > k' double sums are evaluated through the exact identities
-
-        sum_{k>k'} (1 - cos k cos k') w_k w_k'
-            = [ (sum w)^2 - sum w^2 - (sum c w)^2 + sum (c w)^2 ] / 2,
-        sum_{k>k'} sin k sin k' Re(z_k conj(z_k'))
-            = [ |sum s z|^2 - sum s^2 |z|^2 ] / 2,
-
-    with w = |v|^2 and z = u* v, which keeps the cost linear in N and
-    avoids accumulating N^2 mixed-sign terms.
-    """
-    n2 = float(n_sites) ** 2
-    total = 0.0
-    for amps in (even, odd):
-        k = amps.momenta
-        c, s = np.cos(k), np.sin(k)
-        w = np.abs(amps.v) ** 2
-        z = np.conj(amps.u) * amps.v
-        cw = c * w
-        sz = s * z
-        t1 = w.sum(-1) ** 2 - (w**2).sum(-1) - cw.sum(-1) ** 2 + (cw**2).sum(-1)
-        t2 = np.abs(sz.sum(-1)) ** 2 - (s**2 * np.abs(z) ** 2).sum(-1)
-        total += t1 + t2
-        if amps.sector == EVEN:
-            total += (s**2 * w).sum(-1)
-        else:
-            total += ((2.0 + c) * (1.0 - c) * w).sum(-1)
-    return 2.0 * total / n2
 
 
 @dataclass(frozen=True)
@@ -106,16 +51,37 @@ class EvenObservables:
         return 0.5 + self.sz / 2.0 - self.rho11
 
 
+def _two_point(amps: ModeAmplitudes, n_sites: int, d):
+    """(<c+_i c_{i+d}>, <c_i c_{i+d}>) of one sector state at the distances d,
+
+        <c+_i c_{i+d}> = (2/N) sum_k cos(kd) |v_k|^2  (+1/N, odd sector),
+        <c_i c_{i+d}>  = -(2/N) sum_k sin(kd) u*_k v_k,
+
+    summed over the sector's pairs; the odd sector's extra 1/N is its
+    occupied unpaired k=0 mode (its k=-pi mode is empty).  Shape (..., d).
+    """
+    k = amps.momenta
+    occupied = 1.0 if amps.sector == ODD else 0.0
+    hop = (2.0 * (np.abs(amps.v) ** 2 @ np.cos(np.outer(k, d))) + occupied) / n_sites
+    pair = -2.0 * ((np.conj(amps.u) * amps.v) @ np.sin(np.outer(k, d))) / n_sites
+    return hop, pair
+
+
 def evaluate_even(even: ModeAmplitudes, odd: ModeAmplitudes,
                   n_sites: int) -> EvenObservables:
-    """All parity-even entries, reduced over the momenta (the last axis)."""
-    rho14, rho23 = pair_entries(even, odd, n_sites)
-    return EvenObservables(
-        sz=transverse_magnetization(even, odd, n_sites),
-        rho14=rho14,
-        rho23=rho23,
-        rho11=double_occupancy(even, odd, n_sites),
-    )
+    """All parity-even entries, reduced over the momenta (the last axis).
+
+    With n = <c+_1 c_1>, h = <c+_1 c_2> and p = <c_1 c_2> of a sector,
+    its entries are sz = 2n - 1, rho23 = h, rho14 = -p and, by Wick's
+    theorem, rho11 = <n_1 n_2> = n^2 - h^2 + |p|^2; each is then averaged
+    over the two sectors.
+    """
+    sectors = []
+    for amps in (even, odd):
+        hop, pair = _two_point(amps, n_sites, np.arange(2))
+        n, h, p = hop[..., 0], hop[..., 1], pair[..., 1]
+        sectors.append((2.0 * n - 1.0, -p, h, n * n - h * h + np.abs(p) ** 2))
+    return EvenObservables(*(((a + b) / 2.0)[()] for a, b in zip(*sectors)))
 
 
 def xx_correlator(even: ModeAmplitudes, odd: ModeAmplitudes, n_sites: int, r: int):
@@ -123,18 +89,13 @@ def xx_correlator(even: ModeAmplitudes, odd: ModeAmplitudes, n_sites: int, r: in
 
     sigma^x_1 sigma^x_{1+r} = B_1 A_2 B_2 A_3 ... B_r A_{r+1} with
     A_j = c+_j + c_j and B_j = c+_j - c_j; it is parity-even, so its value
-    is the average of the two sector values.  Each sector state is
-    Gaussian, so by Wick's theorem a sector value is the Pfaffian of the
-    2r x 2r matrix of pairwise contractions of that operator list
-    (Calabrese, Essler & Fagotti, PRL 106, 227203 (2011)), built from
-
-        <c+_i c_j> = (2/N) sum_k cos(k(j-i)) |v_k|^2  (+1/N, odd sector),
-        <c_i c_j>  = -(2/N) sum_k sin(k(j-i)) u*_k v_k,
-
-    where the odd sector's extra 1/N is its occupied k=0 mode.  Nothing of
-    the cross-sector machinery enters, which makes this an independent
-    check of the parity-odd path: outside the light cone the correlator
-    factorizes into <sigma^x>^2.  Scalar for one time, (T,) along a grid.
+    is the average of the two sector values.  By Wick's theorem a sector
+    value is the Pfaffian of the 2r x 2r matrix of pairwise contractions
+    of that operator list, built from the sector's two-point functions.
+    Nothing of the cross-sector machinery enters, which makes this an
+    independent check of the parity-odd path: outside the light cone the
+    correlator factorizes into <sigma^x>^2.  Scalar for one time, (T,)
+    along a grid.
     """
     r = int(r)
     if not 1 <= r < n_sites:
@@ -147,10 +108,8 @@ def xx_correlator(even: ModeAmplitudes, odd: ModeAmplitudes, n_sites: int, r: in
     upper = np.triu(np.ones((2 * r, 2 * r), dtype=bool), 1)
     d = np.arange(-r, r + 1)
     total = 0.0
-    for amps, occupied in ((even, 0.0), (odd, 1.0)):
-        k = amps.momenta
-        hop = (2.0 * (np.abs(amps.v) ** 2 @ np.cos(np.outer(k, d))) + occupied) / n_sites
-        pair = -2.0 * ((np.conj(amps.u) * amps.v) @ np.sin(np.outer(k, d))) / n_sites
+    for amps in (even, odd):
+        hop, pair = _two_point(amps, n_sites, d)
         # <X_mu X_nu> with X = c+ + s c, at the sites i of mu and j of nu
         contraction = (np.conj(pair[..., ji]) + s[None, :] * hop[..., ij]
                        + s[:, None] * ((sep == 0) - hop[..., ji])

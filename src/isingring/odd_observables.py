@@ -57,6 +57,14 @@ pairs whose |p_k| falls below PAIR_TOL times the largest one at any time
 of the evaluated batch are therefore kept in the reduced matrix instead
 of being eliminated, where the pivoted elimination handles them; every
 time of a batch shares that retained set, so the stack has one shape.
+A batch is EVAL_BLOCK consecutive times of the grid a call is given, so
+which times share a batch, and with it the low bits of every value,
+depends on that grid alone.
+
+Pf(A) and Pf(M) each grow or shrink geometrically with N and leave
+double range near N = 800, while their product, the O(1) matrix
+element, does not: both are carried as a mantissa and a binary exponent
+and meet before the one rescaling of w.
 """
 
 from __future__ import annotations
@@ -66,7 +74,11 @@ from functools import lru_cache
 import numpy as np
 
 from .model import EVEN, ODD, RELATIVE_PHASE, momentum_grids
-from .pfaffian import pfaffian_batch
+from .pfaffian import _ldexp, _normalized, pfaffian_batch
+
+#: Times per batch of the cross-parity evaluation; simulate uses it for
+#: its pool tasks.
+EVAL_BLOCK = 16
 
 #: Bra pairs with |p_k| <= PAIR_TOL * max |p_k| stay in the reduced matrix.
 PAIR_TOL = 1e-3
@@ -155,10 +167,17 @@ class CrossParityKernel:
 
         rhs = np.zeros((n_t, dim), dtype=complex)
         rhs[:, 0] = 1.0
-        pf_rho, x = pfaffian_batch(mat, rhs)
+        pf_m, pf_e, x = pfaffian_batch(mat, rhs)
         # x[1:] spans the null vector of M, so the Pfaffian with border b
-        # is b . w with w = Pf(A over eliminated pairs) Pf(M_rho) x[1:]
-        w = (np.prod(np.where(keep, 1.0, p), axis=-1) * pf_rho)[:, None] * x[:, 1:]
+        # is b . w with w = Pf(A over eliminated pairs) Pf(M_rho) x[1:];
+        # Pf(A) = prod p, as mantissas and exponents, 512 factors at a time
+        # so that mantissa products cannot underflow
+        mant, expo = _normalized(np.where(keep, 1.0, p))
+        pf_e = pf_e + expo.sum(-1)
+        for i in range(0, mant.shape[1], 512):
+            pf_m, e = _normalized(np.prod(mant[:, i:i + 512], axis=-1) * pf_m)
+            pf_e += e
+        w = _ldexp(pf_m, pf_e)[:, None] * x[:, 1:]
         bw = b_ket * w[:, nr:]
         pf_c = bw @ self.fb_ket[:, cols]
         # the c+_j border is [q_kept, -q^T A^-1 C] with q = -a_bra fa_bra[:, j]
@@ -175,8 +194,8 @@ class CrossParityKernel:
         """<c_j> along (even, odd) amplitude pairs, each holding one time or
         a time grid, stacked in order; shape (times, sites).
 
-        All times of one call form one batch: one (times, n, n) stack and
-        one retained-pair set, so callers pass grids in blocks."""
+        The stacked times are evaluated EVAL_BLOCK at a time, each batch
+        one (EVAL_BLOCK, n, n) stack with one retained-pair set."""
         sites = [int(s) for s in np.atleast_1d(sites)]
         if any(not 1 <= s <= self.n_sites for s in sites):
             raise ValueError(f"sites must lie in 1..{self.n_sites}, got {sites}")
@@ -193,7 +212,10 @@ class CrossParityKernel:
         ou = np.concatenate([np.atleast_2d(o.u) for _, o in amps_pairs])
         ov = np.concatenate([np.atleast_2d(o.v) for _, o in amps_pairs])
         phase = np.concatenate([np.atleast_1d(o.phase) for _, o in amps_pairs])
-        pf_c, pf_cdag = self._matrix_elements(eu, ev, ou, ov, sites)
+        blocks = [self._matrix_elements(eu[i:i + EVAL_BLOCK], ev[i:i + EVAL_BLOCK],
+                                        ou[i:i + EVAL_BLOCK], ov[i:i + EVAL_BLOCK], sites)
+                  for i in range(0, phase.size, EVAL_BLOCK)]
+        pf_c, pf_cdag = (np.concatenate(part) for part in zip(*blocks))
         w = (RELATIVE_PHASE * phase)[:, None]
         return 0.5 * (w * pf_c + np.conj(w * pf_cdag))
 

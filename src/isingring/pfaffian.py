@@ -8,6 +8,13 @@ a Schur-complement update, picking the largest pivot in each column pair;
 every row/column swap flips the sign, and the product of the 2x2 pivot
 blocks accumulates the Pfaffian.  Cost is O(n^3) like an LU factorization.
 
+That product grows or shrinks geometrically with n and leaves double
+range on large rings, so it is carried as a mantissa and an integer
+binary exponent, rescaled by a power of two after every pivot.  Power-of-
+two scaling is exact, so a Pfaffian that fits in double range keeps the
+bits of the plain running product, and one that does not saturates to inf
+or 0 instead of becoming NaN.
+
 Pivot magnitudes are compared as |Re| + |Im| rather than the complex
 modulus: the L1 size is within sqrt(2) of the modulus (so pivoting is
 just as stable) and is computed with exactly-rounded operations only,
@@ -39,6 +46,23 @@ def _l1_abs(z: np.ndarray) -> np.ndarray:
     return np.abs(z.real) + np.abs(z.imag)
 
 
+def _ldexp(z: np.ndarray, e) -> np.ndarray:
+    """z * 2**e for complex z, part by part: exact within double range,
+    inf or 0 outside it, never NaN."""
+    out = np.empty_like(z)
+    with np.errstate(over="ignore", under="ignore"):
+        out.real = np.ldexp(z.real, e)
+        out.imag = np.ldexp(z.imag, e)
+    return out
+
+
+def _normalized(z: np.ndarray):
+    """(m, e) with z = m * 2**e exactly and 0.5 <= |m| < 1 up to rounding;
+    z must be finite and normal (so 2**-e is a finite double)."""
+    _, e = np.frexp(np.abs(z))
+    return z * np.ldexp(1.0, -e), e
+
+
 def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
     """Pfaffians of a stack of skew-symmetric matrices, shape (B, n, n).
 
@@ -50,9 +74,10 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
     replaced by 1 to keep the arithmetic finite).
 
     With a right-hand side `rhs` of shape (B, n) the same elimination also
-    solves mats @ x = rhs, and (pf, x) is returned: the rhs is carried
-    through every swap and Schur update, then the stored pivot rows are
-    back-substituted.  A retired matrix gets x = 0.
+    solves mats @ x = rhs, and (mantissa, exponent, x) is returned, with
+    Pf = mantissa * 2**exponent: the rhs is carried through every swap and
+    Schur update, then the stored pivot rows are back-substituted.  A
+    retired matrix gets x = 0.
     """
     a = np.asarray(mats)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -63,8 +88,9 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
     if rhs is not None and np.shape(rhs) != (nb, n):
         raise ValueError(f"rhs must have shape {(nb, n)}, got {np.shape(rhs)}")
     pf = np.ones(nb, dtype=complex)
+    expo = np.zeros(nb, dtype=int)
     if n == 0 or nb == 0:
-        return pf if rhs is None else (pf, np.zeros((nb, n), dtype=complex))
+        return pf if rhs is None else (pf, expo, np.zeros((nb, n), dtype=complex))
     a = a.astype(complex, copy=True)
     r = order = None
     if rhs is not None:
@@ -105,6 +131,8 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
             pf[need] = -pf[need]
         b = a[:, k, k + 1]
         pf[alive] *= b[alive]
+        pf, e = _normalized(pf)
+        expo += e
         safe = np.where(np.abs(b) < PIVOT_GUARD, 1.0, b)
         pivots[:, k // 2] = safe
         if k + 2 < n:
@@ -117,7 +145,7 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
             if r is not None:
                 r[:, k + 2:] -= (c2 * r[:, k, None] - c1 * r[:, k + 1, None]) / safe[:, None]
     if r is None:
-        return pf
+        return _ldexp(pf, expo)
     # back-substitution through the 2x2 pivots [[0, b], [-b, 0]]
     x = np.zeros_like(r)
     for k in range(n - 2, -1, -2):
@@ -128,4 +156,4 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
     x[~alive] = 0.0
     out = np.empty_like(x)
     out[rows[:, None], order] = x
-    return pf, out
+    return pf, expo, out

@@ -77,6 +77,8 @@ class TwoSiteRDM:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape[-2:] != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
         if np.abs(m - _dagger(m)).max() > HERM_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         m = (m + _dagger(m)) / 2.0

@@ -6,7 +6,8 @@ Pauli correlators and the concurrence.  `string_series` evaluates the
 dressed string operators <X_j> on a list of sites, and
 `order_parameter_series` is a lean path that only computes <sx>, <sy>.
 
-The time grid is cut into fixed-size blocks (EVAL_BLOCK points), each
+The time grid is cut into fixed-size blocks of EVAL_BLOCK points, the
+cross-parity kernel's own batch, each
 evaluated as arrays along its time axis: one amplitude set, one batched
 Pfaffian pass and one (T, 4, 4) RDM stack per block.  The partition
 depends only on the grid, never on the worker count: numpy picks
@@ -29,6 +30,7 @@ import numpy as np
 from .even_observables import evaluate_even
 from .model import QuenchConfig
 from .odd_observables import (
+    EVAL_BLOCK,
     c_expectations_series,
     longitudinal_magnetization,
     odd_rdm_entries,
@@ -37,8 +39,6 @@ from .odd_observables import (
 from .rdm import TwoSiteRDM, assemble_two_site, concurrence, pauli_correlation
 
 WORKER_ENV = "ISINGRING_WORKERS"
-
-EVAL_BLOCK = 16
 
 SERIES_COLUMNS = ("t", "sx", "sy", "sz", "purity",
                   "czz", "cxx", "cxy", "cxz", "concurrence")

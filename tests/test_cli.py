@@ -11,6 +11,8 @@ import json
 import numpy as np
 import pytest
 
+import isingring
+import isingring.simulate as simulate_mod
 from isingring import cli
 from isingring.cli import _float_list, _time_grid, main
 
@@ -51,16 +53,38 @@ def test_worker_count_never_reaches_the_file(tmp_path):
     assert b"workers" not in serial
 
 
-def test_header_lines_and_float_format(tmp_path):
-    raw = run_evolve(tmp_path, "fmt.csv").decode()
-    header, columns, rows = parse_csv(raw)
-    assert header["command"] == "evolve"
-    assert header["n-sites"] == "6"
-    assert header["g"] == "1"
-    assert "version" in header
-    assert sorted(header) == list(header)
-    assert columns[0] == "t"
-    assert rows.shape == (21, len(columns))
+HEADER_CASES = {
+    "evolve": (["--n-sites", "6", "--g", "1.0", "--t-max", "2.0", "--dt", "0.1",
+                "--workers", "1"],
+               {"dt": "0.10000000000000001", "g": "1", "n-sites": "6",
+                "t-max": "2", "t-min": "0"}),
+    "string-op": (["--n-sites", "8", "--g", "1.5", "--t-min", "0.1", "--t-max", "0.6",
+                   "--dt", "0.25", "--sites", "2,4"],
+                  {"dt": "0.25", "g": "1.5", "n-sites": "8", "sites": "2,4",
+                   "t-max": "0.59999999999999998", "t-min": "0.10000000000000001"}),
+    "sweep-g": (["--n-sites", "4", "--g-list", "0.5,1.5", "--t-max", "0.2", "--dt", "0.1"],
+                {"dt": "0.10000000000000001", "g-list": "0.5,1.5", "n-sites": "4",
+                 "t-max": "0.20000000000000001", "t-min": "0"}),
+    "fit": (["--n-sites", "12", "--g-list", "0.5", "--window", "0.5,1.5", "--dt", "0.1"],
+            {"dt": "0.10000000000000001", "g-list": "0.5", "n-sites": "12",
+             "window": "0.5,1.5"}),
+    "limits": (["--g", "2.0", "--t-max", "0.2", "--dt", "0.1"],
+               {"dt": "0.10000000000000001", "g": "2", "quantities": "sz,cxx",
+                "t-max": "0.20000000000000001", "t-min": "0"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HEADER_CASES))
+def test_header_lines_and_float_format(tmp_path, command):
+    flags, echoed = HEADER_CASES[command]
+    out = tmp_path / "fmt.csv"
+    assert main([command, *flags, "--out", str(out)]) == 0
+    raw = out.read_text()
+    expected = {"command": command, "version": isingring.__version__, **echoed}
+    assert [line for line in raw.splitlines() if line.startswith("#")] == [
+        f"# {key} = {expected[key]}" for key in sorted(expected)]
+    _, columns, rows = parse_csv(raw)
+    assert rows.shape[1] == len(columns)
     # every value must round-trip the fixed 17-significant-digit format
     for line in raw.splitlines():
         if line.startswith("#") or line[0].isalpha():
@@ -256,6 +280,50 @@ def test_fit_reports_closed_forms(tmp_path):
     # the quadrature rate column only exists inside the ordered phase
     assert np.isfinite(frame["rate_quadrature"][0])
     assert np.isnan(frame["rate_quadrature"][1])
+
+
+@pytest.mark.parametrize("command,series_fn,flags", [
+    ("evolve", "compute_series", ["--g", "1.0"]),
+    ("string-op", "string_series", ["--g", "1.0", "--sites", "2,3"]),
+    ("sweep-g", "compute_series", ["--g-list", "0.5,1.5"]),
+])
+def test_non_finite_cell_is_refused(tmp_path, monkeypatch, capsys, command, series_fn, flags):
+    fast = getattr(cli, series_fn)
+    series_name = "x3" if command == "string-op" else "cxy"
+
+    def poisoned(*args, **kwargs):
+        series = fast(*args, **kwargs)
+        series.columns[series_name][2] = np.inf
+        return series
+
+    monkeypatch.setattr(cli, series_fn, poisoned)
+    out = tmp_path / "table.csv"
+    assert main([command, "--n-sites", "4", *flags, "--t-max", "0.3", "--dt", "0.1",
+                 "--out", str(out)]) == 1
+    assert (f"error: column {series_name} is not finite at t = 0.20000000000000001"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_non_finite_c_stops_string_op_at_its_column(tmp_path, monkeypatch, capsys):
+    kernel = simulate_mod.c_expectations_series
+
+    def poisoned(pairs, n_sites, sites):
+        c = kernel(pairs, n_sites, sites)
+        c[1, 0] = np.nan
+        return c
+
+    monkeypatch.setattr(simulate_mod, "c_expectations_series", poisoned)
+    out = tmp_path / "strings.csv"
+    assert main(["string-op", "--n-sites", "6", "--g", "1.0", "--t-max", "0.5",
+                 "--dt", "0.25", "--sites", "3", "--out", str(out)]) == 1
+    assert "column x3 is not finite at t = 0.25" in capsys.readouterr().err
+    assert not out.exists()
+    # evolve forms no table from it: the two-site matrix refuses it first
+    assert main(["evolve", "--n-sites", "6", "--g", "1.0", "--t-max", "0.5",
+                 "--dt", "0.25", "--out", str(out)]) == 1
+    assert "matrix has non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ed_check_passes_on_small_ring(capsys):

@@ -11,7 +11,6 @@ from isingring.even_observables import (
     EvenObservables,
     QuadratureError,
     asymptotic_order_decay,
-    double_occupancy,
     evaluate_even,
     thermo_cxx,
     thermo_rho11,
@@ -39,7 +38,7 @@ def test_initial_values_quarter(n, g):
 
 
 def test_double_occupancy_matches_literal_double_sum():
-    """The rank-one rearrangement must equal the raw k > k' double loop."""
+    """The Wick form of rho11 must equal the raw k > k' double loop."""
     n = 14
     for g, t in ((0.4, 1.3), (1.0, 2.9), (3.5, 0.61)):
         even, odd = amps_at(n, g, t)
@@ -60,20 +59,23 @@ def test_double_occupancy_matches_literal_double_sum():
             else:
                 total += np.sum((2.0 + c) * (1.0 - c) * w)
         literal = 2.0 * total / n**2
-        assert double_occupancy(even, odd, n) == pytest.approx(literal, abs=1e-13)
+        assert evaluate_even(even, odd, n).rho11 == pytest.approx(literal, abs=1e-13)
 
 
 def test_matches_exact_diagonalization_entries():
-    n, g, t = 8, 2.5, 1.3
-    obs = evaluate_even(*amps_at(n, g, t), n)
-    state = quench_oracle(n, g).state(t)
-    rho = two_site_rdm(state, n)
-    one = one_site_rdm(state, n)
-    assert obs.sz == pytest.approx((one[0, 0] - one[1, 1]).real, abs=1e-11)
-    assert obs.rho11 == pytest.approx(rho[0, 0].real, abs=1e-11)
-    assert obs.rho23 == pytest.approx(rho[1, 2].real, abs=1e-11)
-    assert obs.rho14 == pytest.approx(rho[0, 3], abs=1e-11)
-    assert obs.rho22 == pytest.approx(rho[1, 1].real, abs=1e-11)
+    n = 8
+    for g in (0.5, 1.0, 2.5):
+        oracle = quench_oracle(n, g)
+        for t in (0.0, 0.45, 1.3, 4.2):
+            obs = evaluate_even(*amps_at(n, g, t), n)
+            state = oracle.state(t)
+            rho = two_site_rdm(state, n)
+            one = one_site_rdm(state, n)
+            assert obs.sz == pytest.approx((one[0, 0] - one[1, 1]).real, abs=1e-11)
+            assert obs.rho11 == pytest.approx(rho[0, 0].real, abs=1e-11)
+            assert obs.rho23 == pytest.approx(rho[1, 2].real, abs=1e-11)
+            assert obs.rho14 == pytest.approx(rho[0, 3], abs=1e-11)
+            assert obs.rho22 == pytest.approx(rho[1, 1].real, abs=1e-11)
 
 
 def test_time_grid_equals_single_times():

@@ -5,6 +5,7 @@ from isingring.ed_oracle import expectation, fermion_annihilation, quench_oracle
 from isingring.even_observables import xx_correlator
 from isingring.model import RELATIVE_PHASE, QuenchConfig, dispersion, momentum_grids
 from isingring.odd_observables import (
+    EVAL_BLOCK,
     PAIR_TOL,
     c_expectations_series,
     longitudinal_magnetization,
@@ -125,6 +126,31 @@ def test_series_equals_pointwise():
     grid_pair = QuenchConfig(n, g, times).amplitudes(np.array(times))
     np.testing.assert_allclose(c_expectations_series([grid_pair], n, (1, 2, 5)),
                                series, rtol=0, atol=1e-15)
+
+
+def test_time_batches_depend_on_the_grid_alone():
+    # 40 times run as EVAL_BLOCK batches of 16, 16 and 8: the same bits as
+    # calling those three slices one by one
+    n, g = 20, 1.0
+    times = np.linspace(0.05, 6.0, 40)
+    even, odd = QuenchConfig(n, g, times).amplitudes(times)
+    sites = (1, 2, 7, n)
+    whole = c_expectations_series([(even, odd)], n, sites)
+    assert EVAL_BLOCK == 16
+    parts = [c_expectations_series([QuenchConfig(n, g, times[s]).amplitudes(times[s])],
+                                   n, sites)
+             for s in (slice(0, 16), slice(16, 32), slice(32, 40))]
+    np.testing.assert_array_equal(whole, np.concatenate(parts))
+
+
+def test_large_ring_matches_half_the_ring_before_the_light_cone_wraps():
+    # Pf(A) and Pf(M) each leave double range near N = 800 at g=1; inside
+    # the light cone <c_1>, <c_2> must not see the ring size
+    g, times = 1.0, np.array([0.3, 0.4, 0.5])
+    c = {n: c_expectations_series([QuenchConfig(n, g, times).amplitudes(times)], n, (1, 2))
+         for n in (400, 800)}
+    assert np.isfinite(c[800]).all()
+    np.testing.assert_allclose(c[800], c[400], rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [60, 100])

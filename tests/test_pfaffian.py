@@ -166,27 +166,52 @@ def test_rhs_solves_the_system_with_the_same_pfaffian(n):
     if n > 2:
         stack[0, 0, 1] = stack[0, 1, 0] = 0.0     # forces a pivot swap at step 0
     rhs = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
-    pf, x = pfaffian_batch(stack, rhs)
-    np.testing.assert_array_equal(pf, pfaffian_batch(stack))
+    mant, expo, x = pfaffian_batch(stack, rhs)
+    np.testing.assert_array_equal(mant * 2.0 ** expo, pfaffian_batch(stack))
     np.testing.assert_allclose(np.einsum("bij,bj->bi", stack, x), rhs, rtol=0, atol=1e-12)
 
 
 def test_rhs_of_retired_member_is_zero():
     rng = np.random.default_rng(5)
     stack = np.array([random_skew(rng, 6), np.zeros((6, 6))])
-    pf, x = pfaffian_batch(stack, np.ones((2, 6)))
+    pf, _, x = pfaffian_batch(stack, np.ones((2, 6)))
     assert pf[1] == 0.0
     np.testing.assert_array_equal(x[1], 0.0)
     np.testing.assert_allclose(stack[0] @ x[0], np.ones(6), atol=1e-12)
-    pf, x = pfaffian_batch(np.zeros((1, 4, 4)), np.ones((1, 4)))
+    pf, _, x = pfaffian_batch(np.zeros((1, 4, 4)), np.ones((1, 4)))
     assert pf[0] == 0.0 and not x.any()
+
+
+@pytest.mark.parametrize("with_rhs", [False, True])
+def test_exponent_is_carried_past_double_range(with_rhs):
+    # 2x2 blocks 1e200, 1e200, 1e-200, 1e-200: Pf = 1, while the running
+    # product of pivots passes 1e400 on the way
+    scales = [1e200, 1e200, 1e-200, 1e-200]
+    stack = np.zeros((1, 8, 8), dtype=complex)
+    for i, a in enumerate(scales):
+        stack[0, 2 * i, 2 * i + 1], stack[0, 2 * i + 1, 2 * i] = a, -a
+    if not with_rhs:
+        assert pfaffian_batch(stack)[0] == pytest.approx(1.0, rel=1e-15)
+        return
+    rhs = np.arange(1.0, 9.0)[None] * (1.0 + 0.5j)
+    mant, expo, x = pfaffian_batch(stack, rhs)
+    assert mant[0] * 2.0 ** expo[0] == pytest.approx(1.0, rel=1e-15)
+    np.testing.assert_allclose(np.einsum("bij,bj->bi", stack, x), rhs, rtol=1e-15)
+
+
+def test_out_of_range_pfaffian_saturates_instead_of_nan():
+    stack = np.zeros((1, 8, 8))
+    for i in range(4):
+        stack[0, 2 * i, 2 * i + 1], stack[0, 2 * i + 1, 2 * i] = 1e200, -1e200
+    assert pfaffian_batch(stack)[0] == np.inf
+    assert pfaffian_batch(1.0 / np.where(stack, stack, np.inf))[0] == 0.0
 
 
 def test_rhs_shape_must_match_the_stack():
     with pytest.raises(ValueError, match="rhs"):
         pfaffian_batch(np.zeros((2, 4, 4)), np.zeros((2, 3)))
-    pf, x = pfaffian_batch(np.zeros((3, 0, 0)), np.zeros((3, 0)))
-    assert x.shape == (3, 0) and np.all(pf == 1.0)
+    pf, expo, x = pfaffian_batch(np.zeros((3, 0, 0)), np.zeros((3, 0)))
+    assert x.shape == (3, 0) and np.all(pf == 1.0) and not expo.any()
 
 
 def test_batch_degenerate_shapes():

@@ -74,6 +74,12 @@ class TestTwoSiteRDM:
         with pytest.raises(ValueError, match="Hermitian"):
             TwoSiteRDM(m)
 
+    def test_rejects_non_finite_entries(self):
+        stack = np.array([np.eye(4) / 4.0] * 3, dtype=complex)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            TwoSiteRDM(stack)
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             TwoSiteRDM(np.eye(4) / 2.0)
