@@ -5,8 +5,9 @@ H = -sum_j (sx_j sx_{j+1} + g sz_j).  This package computes the exact
 one- and two-site reduced density matrices at any later time for finite
 even N: parity-even observables from closed momentum sums, parity-odd
 ones (order parameter, string operators) from Pfaffian contractions of
-cross-sector overlaps, plus thermodynamic-limit quadratures and a dense
-exact-diagonalization oracle that gates everything on small rings.
+cross-sector overlaps, plus thermodynamic-limit quadratures and an
+exact-diagonalization oracle (the zero-momentum block of H, N <= 16)
+that gates everything on small rings.
 
 The names below are the public surface; everything else is imported from
 its own submodule (e.g. `isingring.pfaffian`, `isingring.ed_oracle`).

@@ -6,7 +6,7 @@ evolve     full observable series for one (N, g) quench
 string-op  dressed string expectations <X_j> for chosen sites
 sweep-g    evolve over a list of fields, long-format output
 fit        exponential decay fits of <sigma^x> per field, with closed forms
-ed-check   compare the fast path against dense diagonalization (small N)
+ed-check   compare the fast path against exact diagonalization (N <= 16)
 limits     thermodynamic-limit curves from quadrature
 
 Output is CSV (or a JSON mirror) with the resolved run parameters echoed
@@ -131,10 +131,8 @@ def _write_table(args, columns: dict) -> None:
     spec = _spec(args)
     lines = [f"# {key} = {spec[key]}" for key in sorted(spec)]
     lines.append(",".join(columns))
-    ncols = len(columns)
-    data = list(columns.values())
-    for i in range(len(data[0])):
-        lines.append(",".join(_fmt(data[c][i]) for c in range(ncols)))
+    rows = np.column_stack(list(columns.values())).tolist()
+    lines.extend(",".join([format(v, ".17g") for v in row]) for row in rows)
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
@@ -145,8 +143,7 @@ def _write_table(args, columns: dict) -> None:
         payload = {
             "spec": {k: spec[k] for k in sorted(spec)},
             "columns": list(columns),
-            "rows": [[float(data[c][i]) for c in range(ncols)]
-                     for i in range(len(data[0]))],
+            "rows": rows,
         }
         with open(args.json_out, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
@@ -305,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, "--dt", *_WORKERS_OUT)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("ed-check", help="gate the fast path against dense ED")
+    p = sub.add_parser("ed-check", help="gate the fast path against exact diagonalization")
     _add_shared(p, "--n-sites", "--g", "--t-max", t_max=5.0)
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-8)

@@ -71,7 +71,13 @@ def series_columns(rho: TwoSiteRDM) -> np.ndarray:
 
 def _full_block(config: QuenchConfig, times, sites) -> np.ndarray:
     even, odd = config.amplitudes(times)
-    c1, c2 = c_expectations_series([(even, odd)], config.n_sites, (1, 2)).T
+    c = c_expectations_series([(even, odd)], config.n_sites, (1, 2))
+    bad = np.argwhere(~np.isfinite(c))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"<c_{col + 1}> is not finite at "
+                         f"t = {format(float(times[row]), '.17g')}")
+    c1, c2 = c.T
     ev = evaluate_even(even, odd, config.n_sites)
     return series_columns(assemble_two_site(ev, *odd_rdm_entries(c1, c2)))
 

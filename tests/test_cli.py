@@ -15,6 +15,8 @@ import isingring
 import isingring.simulate as simulate_mod
 from isingring import cli
 from isingring.cli import _float_list, _time_grid, main
+from isingring.ed_oracle import expectation, quench_oracle, string_x
+from isingring.model import QuenchConfig
 
 
 def run_evolve(tmp_path, name, extra=()):
@@ -319,10 +321,10 @@ def test_non_finite_c_stops_string_op_at_its_column(tmp_path, monkeypatch, capsy
                  "--dt", "0.25", "--sites", "3", "--out", str(out)]) == 1
     assert "column x3 is not finite at t = 0.25" in capsys.readouterr().err
     assert not out.exists()
-    # evolve forms no table from it: the two-site matrix refuses it first
+    # evolve refuses it before forming a two-site matrix from it
     assert main(["evolve", "--n-sites", "6", "--g", "1.0", "--t-max", "0.5",
                  "--dt", "0.25", "--out", str(out)]) == 1
-    assert "matrix has non-finite entries" in capsys.readouterr().err
+    assert "<c_1> is not finite at t = 0.25" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -332,6 +334,26 @@ def test_ed_check_passes_on_small_ring(capsys):
     text = capsys.readouterr().out
     assert "ed-check passed" in text
     assert text.count(" ok") == 9
+
+
+def test_n14_gate_past_the_dense_limit(capsys):
+    # ed-check's nine columns and every site's <X_j>, one ring past N = 12
+    n, times = 14, (0.0, 0.9, 2.5, 4.0)
+    worst = 0.0
+    for g in (0.5, 1.0, 2.0):
+        assert main(["ed-check", "--n-sites", str(n), "--g", str(g)]) == 0
+        worst = max(worst, *(float(line.split("=")[1].split()[0])
+                             for line in capsys.readouterr().out.splitlines()
+                             if "max|dev|" in line))
+        series = isingring.string_series(QuenchConfig(n, g, times), range(1, n + 1))
+        oracle = quench_oracle(n, g)
+        for i, t in enumerate(times):
+            state = oracle.state(t)
+            for j in range(1, n + 1):
+                ref = expectation(state, n, string_x(j)).real
+                worst = max(worst, abs(series.column(f"x{j}")[i] - ref))
+    print(f"N=14 gate: max |fast - ED| = {worst:.2e} (tol 1e-8)")
+    assert worst <= 1e-8
 
 
 def test_ed_check_single_point_needs_no_time_span(capsys):
@@ -355,8 +377,8 @@ def test_ed_check_rejects_empty_time_span():
 def test_ed_check_rejects_large_ring_before_the_fast_path(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "compute_series", lambda *a, **k: calls.append(a))
-    assert main(["ed-check", "--n-sites", "14", "--g", "1.0"]) == 1
-    assert "oracle handles even 4 <= N <= 12, got 14" in capsys.readouterr().err
+    assert main(["ed-check", "--n-sites", "18", "--g", "1.0"]) == 1
+    assert "oracle handles even 4 <= N <= 16, got 18" in capsys.readouterr().err
     assert calls == []
 
 

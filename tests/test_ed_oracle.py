@@ -3,6 +3,7 @@ import pytest
 
 from isingring.ed_oracle import (
     EDQuench,
+    _orbits,
     expectation,
     fermion_annihilation,
     fermion_creation,
@@ -16,10 +17,48 @@ from isingring.ed_oracle import (
 )
 
 
-@pytest.mark.parametrize("bad", [3, 5, 14, 2])
+@pytest.mark.parametrize("bad", [3, 5, 18, 2])
 def test_rejects_unsupported_sizes(bad):
-    with pytest.raises(ValueError):
-        ring_hamiltonian(bad, 1.0)
+    for build in (ring_hamiltonian, EDQuench):
+        with pytest.raises(ValueError, match=f"oracle handles even 4 <= N <= 16, got {bad}"):
+            build(bad, 1.0)
+
+
+def test_dense_hamiltonian_stops_where_the_block_oracle_goes_on():
+    # 2^14 x 2^14 doubles would be 2 GB; the refusal comes before any allocation
+    with pytest.raises(ValueError, match="dense H handles N <= 12, got 14"):
+        ring_hamiltonian(14, 1.0)
+
+
+def necklaces(n):
+    """Number of binary necklaces of length n: (1/n) sum_{d|n} phi(d) 2^(n/d)."""
+    phi = lambda d: sum(1 for k in range(1, d + 1) if np.gcd(k, d) == 1)
+    return sum(phi(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 2.5])
+def test_block_oracle_matches_dense_eigh(n, g):
+    # g=0 is the degenerate no-quench case: any eigenbasis of the block must do
+    energies, vectors = np.linalg.eigh(ring_hamiltonian(n, g))
+    coef0 = vectors.T @ np.full(1 << n, 2.0 ** (-n / 2))
+    oracle = EDQuench(n, g)
+    for t in (0.0, 0.37, 2.9, 13.0):
+        dense = vectors @ (np.exp(-1j * energies * t) * coef0)
+        np.testing.assert_allclose(oracle.state(t), dense, rtol=0, atol=1e-12)
+    assert oracle.energy() == pytest.approx(np.sum(energies * coef0 ** 2), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14, 16])
+def test_orbits_are_the_binary_necklaces(n):
+    # labelling is cheap at every N; diagonalizing N=16 would take seconds
+    _, size = _orbits(n)
+    assert size.size == necklaces(n)
+    assert size.sum() == 1 << n and np.all(n % size == 0)
+
+
+def test_n12_block_has_352_states():
+    assert necklaces(12) == 352 == EDQuench(12, 0.5).eigenvalues.size
 
 
 def test_hamiltonian_is_real_symmetric():

@@ -143,14 +143,23 @@ def test_time_batches_depend_on_the_grid_alone():
     np.testing.assert_array_equal(whole, np.concatenate(parts))
 
 
-def test_large_ring_matches_half_the_ring_before_the_light_cone_wraps():
-    # Pf(A) and Pf(M) each leave double range near N = 800 at g=1; inside
-    # the light cone <c_1>, <c_2> must not see the ring size
-    g, times = 1.0, np.array([0.3, 0.4, 0.5])
+def assert_n800_matches_n400(g):
+    times = np.array([0.3, 0.4, 0.5])
     c = {n: c_expectations_series([QuenchConfig(n, g, times).amplitudes(times)], n, (1, 2))
          for n in (400, 800)}
     assert np.isfinite(c[800]).all()
     np.testing.assert_allclose(c[800], c[400], rtol=0, atol=1e-10)
+
+
+def test_large_ring_matches_half_the_ring_before_the_light_cone_wraps():
+    # Pf(A) and Pf(M) each leave double range near N = 800 at g=1; inside
+    # the light cone <c_1>, <c_2> must not see the ring size
+    assert_n800_matches_n400(1.0)
+
+
+def test_large_ring_matches_half_the_ring_off_criticality():
+    # the same gate in the ordered phase, where log10|Pf(M)| is about 0.26 N at t=0.5
+    assert_n800_matches_n400(0.5)
 
 
 @pytest.mark.parametrize("n", [60, 100])
