@@ -185,6 +185,8 @@ def two_site_rdm(state: np.ndarray, n_sites: int, sites=(1, 2)) -> np.ndarray:
 def one_site_rdm(state: np.ndarray, n_sites: int, site: int = 1) -> np.ndarray:
     """Reduced density matrix of a single site, basis (u, d)."""
     n = int(n_sites)
+    if not 1 <= int(site) <= n:
+        raise ValueError(f"sites must be within 1..{n}, got {site}")
     psi = np.asarray(state, dtype=complex).reshape((2,) * n)
     psi = np.moveaxis(psi, site - 1, 0).reshape(2, -1)
     return psi @ psi.conj().T

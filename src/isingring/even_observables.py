@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .model import ODD, ModeAmplitudes, _sin_over, dispersion, mode_uv
+from .model import ODD, ModeAmplitudes, _sin_over, _validate_field, dispersion, mode_uv
 from .pfaffian import pfaffian_batch
 
 
@@ -139,20 +139,21 @@ def _safe_quad(f, a: float, b: float) -> float:
             return val
         except integrate.IntegrationWarning:
             pass
-    coarse = None
+    fine = None
     for exp in (14, 15):
         x = np.linspace(a, b, 2**exp + 1)
         y = np.array([f(xi) for xi in x])
-        coarse, fine = coarse, integrate.simpson(y, x=x)
+        coarse, fine = fine, integrate.simpson(y, x=x)
     if abs(fine - coarse) > 1e-7 * max(1.0, abs(fine)):
         raise QuadratureError(
-            f"quadrature did not converge: refinements {coarse!r} vs {fine!r}"
+            f"quadrature did not converge: refinements {coarse:.10g} vs {fine:.10g}"
         )
     return fine
 
 
 def _quench_integral(g: float, t: float) -> float:
     """I(g,t) = int_0^pi sin^2 k sin^2(Lambda_k t) / Lambda_k^2 dk."""
+    _validate_field(g)
 
     def integrand(k):
         lam = dispersion(g, k)
@@ -177,6 +178,7 @@ def thermo_rho11(g: float, t: float) -> float:
     An accuracy warning from the adaptive double quadrature is raised as
     QuadratureError rather than returning an unconverged value.
     """
+    _validate_field(g)
 
     def integrand(kp, k):
         u, v = mode_uv(g, np.array([k, kp]), t)

@@ -55,6 +55,11 @@ def _validate_n_sites(n_sites: int) -> int:
     return n
 
 
+def _validate_field(g: float) -> None:
+    if not np.isfinite(g) or g < 0:
+        raise ValueError(f"field_g must be finite and >= 0, got {g}")
+
+
 @dataclass(frozen=True)
 class MomentumGrid:
     """Momenta of one parity sector.
@@ -142,8 +147,7 @@ class ModeAmplitudes:
 
 def evolve_amplitudes(grid: MomentumGrid, g: float, t) -> ModeAmplitudes:
     """Evolve the sector described by `grid` to time t (scalar or 1-d array)."""
-    if g < 0:
-        raise ValueError(f"field must be non-negative, got {g}")
+    _validate_field(g)
     t = np.asarray(t, dtype=float)
     u, v = mode_uv(g, grid.positive, t)
     phase = np.exp(2j * t) if grid.sector == ODD else np.ones_like(t, dtype=complex)
@@ -160,8 +164,7 @@ class QuenchConfig:
 
     def __post_init__(self):
         _validate_n_sites(self.n_sites)
-        if not np.isfinite(self.field_g) or self.field_g < 0:
-            raise ValueError(f"field_g must be finite and >= 0, got {self.field_g}")
+        _validate_field(self.field_g)
         grid = np.atleast_1d(np.asarray(self.time_grid, dtype=float))
         if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
             raise ValueError("time_grid must be a non-empty 1-d array of finite times")

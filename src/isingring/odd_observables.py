@@ -74,7 +74,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import EVEN, ODD, RELATIVE_PHASE, momentum_grids
-from .pfaffian import _ldexp, _normalized, pfaffian_batch
+from .pfaffian import _ldexp, _product, pfaffian_batch
 
 #: Times per batch of the cross-parity evaluation; simulate uses it for
 #: its pool tasks.
@@ -169,15 +169,10 @@ class CrossParityKernel:
         rhs[:, 0] = 1.0
         pf_m, pf_e, x = pfaffian_batch(mat, rhs)
         # x[1:] spans the null vector of M, so the Pfaffian with border b
-        # is b . w with w = Pf(A over eliminated pairs) Pf(M_rho) x[1:];
-        # Pf(A) = prod p, as mantissas and exponents, 512 factors at a time
-        # so that mantissa products cannot underflow
-        mant, expo = _normalized(np.where(keep, 1.0, p))
-        pf_e = pf_e + expo.sum(-1)
-        for i in range(0, mant.shape[1], 512):
-            pf_m, e = _normalized(np.prod(mant[:, i:i + 512], axis=-1) * pf_m)
-            pf_e += e
-        w = _ldexp(pf_m, pf_e)[:, None] * x[:, 1:]
+        # is b . w with w = Pf(A over eliminated pairs) Pf(M_rho) x[1:],
+        # with Pf(A) = prod p as a mantissa and an exponent
+        a_m, a_e = _product(np.where(keep, 1.0, p))
+        w = _ldexp(pf_m * a_m, pf_e + a_e)[:, None] * x[:, 1:]
         bw = b_ket * w[:, nr:]
         pf_c = bw @ self.fb_ket[:, cols]
         # the c+_j border is [q_kept, -q^T A^-1 C] with q = -a_bra fa_bra[:, j]

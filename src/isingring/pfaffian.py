@@ -5,15 +5,20 @@ of a product of linear forms (Wick's theorem): the contraction matrix is
 skew-symmetric and its Pfaffian is the full sum over pairings, signs
 included.  The evaluator below eliminates two rows/columns at a time with
 a Schur-complement update, picking the largest pivot in each column pair;
-every row/column swap flips the sign, and the product of the 2x2 pivot
-blocks accumulates the Pfaffian.  Cost is O(n^3) like an LU factorization.
+every row/column swap flips the sign, and the Pfaffian is that sign times
+the product of the stored 2x2 pivot entries.  Each update is one batched
+matrix product of the two pivot columns, [c2, -c1] @ [c1, c2]^T / b, the
+two-column skew Parlett-Reid step (Wimmer, ACM TOMS 38, 30 (2012)).  Cost
+is O(n^3) like an LU factorization.  A right-hand side to solve for rides
+along as the matrix's skew border (last column rhs, last row -rhs), so
+the swaps and updates that act on the matrix act on it too.
 
-That product grows or shrinks geometrically with n and leaves double
-range on large rings, so it is carried as a mantissa and an integer
-binary exponent, rescaled by a power of two after every pivot.  Power-of-
-two scaling is exact, so a Pfaffian that fits in double range keeps the
-bits of the plain running product, and one that does not saturates to inf
-or 0 instead of becoming NaN.
+The product of pivots grows or shrinks geometrically with n and leaves
+double range on large rings, so it is formed as a mantissa and an integer
+binary exponent: every pivot is split into both by exact power-of-two
+scaling, and the mantissas are multiplied 512 at a time, renormalizing
+after each group.  A Pfaffian that does not fit in double range thus
+saturates to inf or 0 instead of becoming NaN.
 
 Pivot magnitudes are compared as |Re| + |Im| rather than the complex
 modulus: the L1 size is within sqrt(2) of the modulus (so pivoting is
@@ -63,6 +68,21 @@ def _normalized(z: np.ndarray):
     return z * np.ldexp(1.0, -e), e
 
 
+def _product(z: np.ndarray):
+    """(m, e) with prod(z, axis=-1) = m * 2**e and 0.5 <= |m| < 1 up to
+    rounding, or (1, 0) for no factors; factors must be finite and normal.
+    Each factor is normalized, and the normalized factors are multiplied
+    512 at a time, a partial product no smaller than 2**-512 in modulus,
+    so none leaves double range."""
+    mant, expo = _normalized(z)
+    m = np.ones(z.shape[:-1], dtype=complex)
+    e = expo.sum(-1)
+    for i in range(0, z.shape[-1], 512):
+        m, de = _normalized(np.prod(mant[..., i:i + 512], axis=-1) * m)
+        e += de
+    return m, e
+
+
 def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
     """Pfaffians of a stack of skew-symmetric matrices, shape (B, n, n).
 
@@ -75,9 +95,10 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
 
     With a right-hand side `rhs` of shape (B, n) the same elimination also
     solves mats @ x = rhs, and (mantissa, exponent, x) is returned, with
-    Pf = mantissa * 2**exponent: the rhs is carried through every swap and
-    Schur update, then the stored pivot rows are back-substituted.  A
-    retired matrix gets x = 0.
+    Pf = mantissa * 2**exponent: the rhs borders the matrix as its last
+    column (and its negation as the last row), so every swap and Schur
+    update carries it, and the stored pivot rows are then back-substituted.
+    A retired matrix gets x = 0.
     """
     a = np.asarray(mats)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -87,20 +108,19 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
         raise ValueError(f"dimension must be even, got {n}")
     if rhs is not None and np.shape(rhs) != (nb, n):
         raise ValueError(f"rhs must have shape {(nb, n)}, got {np.shape(rhs)}")
-    pf = np.ones(nb, dtype=complex)
-    expo = np.zeros(nb, dtype=int)
-    if n == 0 or nb == 0:
-        return pf if rhs is None else (pf, expo, np.zeros((nb, n), dtype=complex))
-    a = a.astype(complex, copy=True)
-    r = order = None
+    dim = n if rhs is None else n + 1
+    a = np.zeros((nb, dim, dim), dtype=complex)
+    a[:, :n, :n] = mats
     if rhs is not None:
-        r = np.array(rhs, dtype=complex)
-        order = np.tile(np.arange(n), (nb, 1))     # column of x held by each row
+        a[:, :n, n] = rhs
+        a[:, n, :n] = -a[:, :n, n]
+    order = np.tile(np.arange(n), (nb, 1))         # column of x held by each row
     rows = np.arange(nb)
     alive = np.ones(nb, dtype=bool)
+    sign = np.ones(nb)
     pivots = np.ones((nb, n // 2), dtype=complex)
     for k in range(0, n, 2):
-        col = _l1_abs(a[:, k + 1:, k])
+        col = _l1_abs(a[:, k + 1:n, k])
         rel = np.argmax(col, axis=1)
         piv = col[rows, rel]
         dying = alive & (piv < PIVOT_GUARD)
@@ -111,7 +131,6 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
                     PfaffianConditionWarning,
                     stacklevel=2,
                 )
-            pf[dying] = 0.0
             alive &= ~dying
             if not np.any(alive):
                 break
@@ -119,37 +138,24 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
         need = alive & (p != k + 1)
         if np.any(need):
             nb_i, p_i = rows[need], p[need]
-            tmp = a[nb_i, k + 1, :].copy()
-            a[nb_i, k + 1, :] = a[nb_i, p_i, :]
-            a[nb_i, p_i, :] = tmp
-            tmp = a[nb_i, :, k + 1].copy()
-            a[nb_i, :, k + 1] = a[nb_i, :, p_i]
-            a[nb_i, :, p_i] = tmp
-            if r is not None:
-                for v in (r, order):
-                    v[nb_i, k + 1], v[nb_i, p_i] = v[nb_i, p_i], v[nb_i, k + 1]
-            pf[need] = -pf[need]
+            a[nb_i, k + 1, :], a[nb_i, p_i, :] = a[nb_i, p_i, :], a[nb_i, k + 1, :]
+            a[nb_i, :, k + 1], a[nb_i, :, p_i] = a[nb_i, :, p_i], a[nb_i, :, k + 1]
+            order[nb_i, k + 1], order[nb_i, p_i] = order[nb_i, p_i], order[nb_i, k + 1]
+            sign[need] = -sign[need]
         b = a[:, k, k + 1]
-        pf[alive] *= b[alive]
-        pf, e = _normalized(pf)
-        expo += e
-        safe = np.where(np.abs(b) < PIVOT_GUARD, 1.0, b)
-        pivots[:, k // 2] = safe
+        pivots[:, k // 2] = safe = np.where(_l1_abs(b) < PIVOT_GUARD, 1.0, b)
         if k + 2 < n:
-            c1 = a[:, k + 2:, k]
-            c2 = a[:, k + 2:, k + 1]
-            upd = c2[:, :, None] * c1[:, None, :]
-            upd -= c1[:, :, None] * c2[:, None, :]
-            upd /= safe[:, None, None]
-            a[:, k + 2:, k + 2:] += upd
-            if r is not None:
-                r[:, k + 2:] -= (c2 * r[:, k, None] - c1 * r[:, k + 1, None]) / safe[:, None]
-    if r is None:
+            c1, c2 = a[:, k + 2:, k], a[:, k + 2:, k + 1]
+            left = np.stack([c2, -c1], axis=-1) / safe[:, None, None]
+            a[:, k + 2:, k + 2:] += left @ np.stack([c1, c2], axis=1)
+    pf, expo = _product(pivots)
+    pf *= np.where(alive, sign, 0.0)
+    if rhs is None:
         return _ldexp(pf, expo)
     # back-substitution through the 2x2 pivots [[0, b], [-b, 0]]
-    x = np.zeros_like(r)
+    x = np.zeros((nb, n), dtype=complex)
     for k in range(n - 2, -1, -2):
-        y = r[:, k:k + 2] - (a[:, k:k + 2, k + 2:] * x[:, None, k + 2:]).sum(-1)
+        y = a[:, k:k + 2, n] - (a[:, k:k + 2, k + 2:n] * x[:, None, k + 2:]).sum(-1)
         b = pivots[:, k // 2]
         x[:, k] = -y[:, 1] / b
         x[:, k + 1] = y[:, 0] / b

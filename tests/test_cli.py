@@ -1,12 +1,18 @@
 """End-to-end checks of the command line front end.
 
 Everything runs through isingring.cli.main with small rings and coarse
-grids, so the whole file stays fast.  The byte-level comparisons pin the
-output contract: identical parameters must give identical files, no
-matter how many workers did the computing.
+grids, so the whole file stays fast; only the BLAS-threading check starts
+fresh interpreters, since the thread count is fixed when numpy loads.  The
+byte-level comparisons pin the output contract: identical parameters must
+give identical files, no matter how many workers or BLAS threads did the
+computing.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +59,19 @@ def test_worker_count_never_reaches_the_file(tmp_path):
     pooled = run_evolve(tmp_path, "w2.csv", ("--workers", "2"))
     assert serial == pooled
     assert b"workers" not in serial
+
+
+def test_blas_thread_count_never_reaches_the_file():
+    src = str(Path(isingring.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "isingring.cli", "evolve", "--n-sites", "100",
+            "--g", "1", "--t-max", "4.6", "--dt", "0.3"]
+    tables = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        tables.append(subprocess.run(argv, env=env, capture_output=True,
+                                     check=True).stdout)
+    assert tables[0] and tables[0] == tables[1]
 
 
 HEADER_CASES = {
@@ -415,6 +434,20 @@ def test_limits_curves(tmp_path):
     assert columns == ["t", "sz", "cxx"]
     assert rows[0, 1] == pytest.approx(0.0, abs=1e-9)
     assert rows[0, 2] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("g", ["-1", "nan"])
+def test_limits_rejects_unphysical_field(g, capsys):
+    assert main(["limits", "--g", g, "--t-max", "1.0"]) == 1
+    assert "error: field_g must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_limits_reports_unconverged_quadrature(capsys):
+    # at t = 5000 the integrand oscillates too fast for quad and for the
+    # Simpson fallback alike
+    assert main(["limits", "--g", "1", "--t-min", "5000", "--t-max", "5000",
+                 "--quantities", "sz"]) == 1
+    assert "error: quadrature did not converge" in capsys.readouterr().err
 
 
 def test_limits_rejects_unknown_quantity():

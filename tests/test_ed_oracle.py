@@ -140,6 +140,21 @@ def test_rdm_properties():
     )
 
 
+def test_one_site_rdm_is_the_traced_pair_at_every_site():
+    n = 6
+    rng = np.random.default_rng(4)
+    state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state /= np.linalg.norm(state)
+    for site in range(1, n + 1):
+        pair = two_site_rdm(state, n, (site, site % n + 1))
+        np.testing.assert_allclose(one_site_rdm(state, n, site),
+                                   pair.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3),
+                                   atol=1e-13)
+    for bad in (0, n + 1, -1):
+        with pytest.raises(ValueError, match=r"sites must be within 1\.\.6"):
+            one_site_rdm(state, n, bad)
+
+
 def test_string_operator_factors():
     # X_1 = sx_1; X_j at t=0 vanishes because <sz> = 0 in the product state
     n = 6

@@ -185,3 +185,23 @@ def test_thermo_rho11_escalates_quadrature_warning(monkeypatch):
     monkeypatch.setattr(even_mod.integrate, "dblquad", unconverged)
     with pytest.raises(QuadratureError, match="rho11"):
         thermo_rho11(1.0, 0.5)
+
+
+def test_unconverged_quad_falls_back_to_simpson(monkeypatch):
+    def unconverged(*args, **kwargs):
+        warnings.warn("the maximum number of subdivisions has been achieved",
+                      integrate.IntegrationWarning)
+        return 0.123, 1.0
+
+    monkeypatch.setattr(even_mod.integrate, "quad", unconverged)
+    assert even_mod._safe_quad(np.sin, 0.0, np.pi) == pytest.approx(2.0, abs=1e-12)
+    # 15000 periods over [0, pi] alias differently on the two Simpson grids
+    with pytest.raises(QuadratureError, match="did not converge"):
+        even_mod._safe_quad(lambda k: k * np.sin(3e4 * k), 0.0, np.pi)
+
+
+@pytest.mark.parametrize("g", [-1.0, np.nan, np.inf])
+def test_thermodynamic_limits_reject_unphysical_fields(g):
+    for limit in (thermo_sz, thermo_cxx, thermo_rho11):
+        with pytest.raises(ValueError, match="field_g must be finite and >= 0"):
+            limit(g, 1.0)

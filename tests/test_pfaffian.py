@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingring.pfaffian import PfaffianConditionWarning, pfaffian_batch
+from isingring.pfaffian import PfaffianConditionWarning, _product, pfaffian_batch
 
 
 def pfaffian(a):
@@ -205,6 +205,29 @@ def test_out_of_range_pfaffian_saturates_instead_of_nan():
         stack[0, 2 * i, 2 * i + 1], stack[0, 2 * i + 1, 2 * i] = 1e200, -1e200
     assert pfaffian_batch(stack)[0] == np.inf
     assert pfaffian_batch(1.0 / np.where(stack, stack, np.inf))[0] == 0.0
+
+
+def test_product_of_no_factors_is_one():
+    mant, expo = _product(np.ones((3, 0), dtype=complex))
+    np.testing.assert_array_equal(mant, 1.0)
+    np.testing.assert_array_equal(expo, 0)
+
+
+def test_product_carries_the_exponent_and_the_exact_phase():
+    # 1500 factors of 2^-700 e^(i theta): 2^-1050000 is far below double range
+    theta = 0.3
+    mant, expo = _product(np.full(1500, np.exp(1j * theta) * 2.0 ** -700))
+    assert 0.5 <= abs(mant) < 1.0
+    assert expo in (-1050000, -1049999)
+    assert mant * 2.0 ** (expo + 1050000) == pytest.approx(np.exp(1500j * theta), rel=1e-12)
+
+
+def test_product_matches_numpy_within_range():
+    # 1100 factors per row: three 512-factor groups, the last one partial
+    rng = np.random.default_rng(11)
+    z = np.exp(rng.uniform(-0.7, 0.7, (3, 1100)) + 1j * rng.uniform(-np.pi, np.pi, (3, 1100)))
+    mant, expo = _product(z)
+    np.testing.assert_allclose(mant * 2.0 ** expo, np.prod(z, axis=-1), rtol=1e-12)
 
 
 def test_rhs_shape_must_match_the_stack():
