@@ -76,8 +76,12 @@ def _float_list(text: str) -> list[float]:
     return _nonempty([float(p) for p in text.split(",") if p.strip()])
 
 
-def _int_list(text: str) -> list[int]:
-    return _nonempty([int(p) for p in text.split(",") if p.strip()])
+def _site_list(text: str) -> list[int]:
+    sites = _nonempty([int(p) for p in text.split(",") if p.strip()])
+    repeated = next((s for i, s in enumerate(sites) if s in sites[:i]), None)
+    if repeated is not None:
+        raise argparse.ArgumentTypeError(f"site {repeated} is listed twice")
+    return sites
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -85,12 +89,17 @@ def _pair(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected 'lo,hi'")
     lo, hi = parts
+    if not np.isfinite(parts).all():
+        raise argparse.ArgumentTypeError(f"bounds must be finite, got {text!r}")
     if not 0.0 <= lo < hi:
         raise argparse.ArgumentTypeError(f"need 0 <= lo < hi, got {text!r}")
     return lo, hi
 
 
 def _time_grid(t_min: float, t_max: float, dt: float) -> np.ndarray:
+    for flag, value in (("--dt", dt), ("--t-min", t_min), ("--t-max", t_max)):
+        if not np.isfinite(value):
+            raise SystemExit(f"error: {flag} must be finite")
     if dt <= 0:
         raise SystemExit("error: --dt must be positive")
     if t_max < t_min:
@@ -237,10 +246,9 @@ def cmd_limits(args) -> int:
     if unknown:
         raise SystemExit(f"error: unknown quantities {unknown}; "
                          f"choose from {sorted(evaluators)}")
-    columns: dict[str, np.ndarray] = {"t": grid}
-    for q in args.quantities:
-        columns[q] = np.array([evaluators[q](args.g, float(t)) for t in grid])
-    _write_table(args, columns)
+    # time by time, so sz and cxx at one time share a cached quench integral
+    rows = [[evaluators[q](args.g, float(t)) for q in args.quantities] for t in grid]
+    _write_table(args, {"t": grid, **dict(zip(args.quantities, np.array(rows).T))})
     return 0
 
 
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("string-op", help="dressed string <X_j> series")
     _add_shared(p, "--n-sites", "--g", *_GRID, *_WORKERS_OUT)
-    p.add_argument("--sites", type=_int_list, required=True,
+    p.add_argument("--sites", type=_site_list, required=True,
                    help="comma separated site list, e.g. 2,4,8")
     p.set_defaults(func=cmd_string_op)
 

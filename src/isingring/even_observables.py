@@ -22,6 +22,7 @@ ordered phase.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -151,8 +152,12 @@ def _safe_quad(f, a: float, b: float) -> float:
     return fine
 
 
+@functools.lru_cache(maxsize=256)
 def _quench_integral(g: float, t: float) -> float:
-    """I(g,t) = int_0^pi sin^2 k sin^2(Lambda_k t) / Lambda_k^2 dk."""
+    """I(g,t) = int_0^pi sin^2 k sin^2(Lambda_k t) / Lambda_k^2 dk.
+
+    Memoized: thermo_sz and thermo_cxx at the same (g, t) share one
+    quadrature.  A rejected field raises and is not cached."""
     _validate_field(g)
 
     def integrand(k):

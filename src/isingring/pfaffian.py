@@ -3,15 +3,24 @@
 The Pfaffian shows up here as the value of a fermionic vacuum expectation
 of a product of linear forms (Wick's theorem): the contraction matrix is
 skew-symmetric and its Pfaffian is the full sum over pairings, signs
-included.  The evaluator below eliminates two rows/columns at a time with
-a Schur-complement update, picking the largest pivot in each column pair;
-every row/column swap flips the sign, and the Pfaffian is that sign times
-the product of the stored 2x2 pivot entries.  Each update is one batched
-matrix product of the two pivot columns, [c2, -c1] @ [c1, c2]^T / b, the
-two-column skew Parlett-Reid step (Wimmer, ACM TOMS 38, 30 (2012)).  Cost
-is O(n^3) like an LU factorization.  A right-hand side to solve for rides
-along as the matrix's skew border (last column rhs, last row -rhs), so
-the swaps and updates that act on the matrix act on it too.
+included.  The evaluator below eliminates two rows/columns at a time,
+picking the largest pivot in each column pair; every row/column swap
+flips the sign, and the Pfaffian is that sign times the product of the
+2x2 pivot entries.  The Schur update of a step with pivot b and pivot
+columns c1, c2 is [c2, -c1] @ [c1, c2]^T / b, the two-column skew
+Parlett-Reid step.  Cost is O(n^3) like an LU factorization.
+
+The updates are delayed over a panel of PANEL_STEPS steps, as in the
+blocked reduction of Wimmer, ACM TOMS 38, 30 (2012): a step brings only
+its two pivot columns up to date (stored column plus the panel's left
+factors times that column's row of earlier pivot columns), stores them in
+place, and appends [c2, -c1] / b to the left factors.  The stored columns
+are the right factors, so at the panel's end the whole trailing block
+takes one matrix product.  A right-hand side to solve for rides along as
+the matrix's skew border (last column rhs, last row -rhs), so the swaps
+and updates that act on the matrix act on it too, and back-substitution
+reads the stored pivot columns (row k of a skew matrix is minus its
+column k).
 
 The product of pivots grows or shrinks geometrically with n and leaves
 double range on large rings, so it is formed as a mantissa and an integer
@@ -44,6 +53,10 @@ class PfaffianConditionWarning(RuntimeWarning):
 
 #: Pivots with L1 magnitude |Re| + |Im| below this are treated as zeros.
 PIVOT_GUARD = 1e-300
+
+#: Pivot steps (two columns each) whose rank-2 updates are delayed and
+#: applied to the trailing block as one matrix product.
+PANEL_STEPS = 16
 
 
 def _l1_abs(z: np.ndarray) -> np.ndarray:
@@ -86,18 +99,18 @@ def _product(z: np.ndarray):
 def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
     """Pfaffians of a stack of skew-symmetric matrices, shape (B, n, n).
 
-    The pivoted elimination described in the module docstring, advanced
-    in lockstep across the batch so the per-step numpy overhead is shared.
-    The input is trusted to be skew-symmetric and is copied, not modified;
-    an empty matrix has Pfaffian 1.  Stacks whose pivot column vanishes
-    are retired with Pfaffian 0 and dragged along inertly (their pivot is
-    replaced by 1 to keep the arithmetic finite).
+    The pivoted, panel-blocked elimination described in the module
+    docstring, advanced in lockstep across the batch so the per-step numpy
+    overhead is shared.  The input is trusted to be skew-symmetric and is
+    copied, not modified; an empty matrix has Pfaffian 1.  Stacks whose
+    pivot column vanishes are retired with Pfaffian 0 and dragged along
+    inertly (their pivot is replaced by 1 to keep the arithmetic finite).
 
     With a right-hand side `rhs` of shape (B, n) the same elimination also
     solves mats @ x = rhs, and (mantissa, exponent, x) is returned, with
     Pf = mantissa * 2**exponent: the rhs borders the matrix as its last
-    column (and its negation as the last row), so every swap and Schur
-    update carries it, and the stored pivot rows are then back-substituted.
+    column (and its negation as the last row), so every swap and update
+    carries it, and x is back-substituted from the stored pivot columns.
     A retired matrix gets x = 0.
     """
     a = np.asarray(mats)
@@ -119,7 +132,11 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
     alive = np.ones(nb, dtype=bool)
     sign = np.ones(nb)
     pivots = np.ones((nb, n // 2), dtype=complex)
+    u = np.empty((nb, dim, 2 * PANEL_STEPS), dtype=complex)   # open panel's [c2, -c1]/b
     for k in range(0, n, 2):
+        k0 = k - k % (2 * PANEL_STEPS)
+        r = k - k0
+        a[:, k:, k] += (u[:, k:, :r] @ a[:, k, k0:k, None])[..., 0]
         col = _l1_abs(a[:, k + 1:n, k])
         rel = np.argmax(col, axis=1)
         piv = col[rows, rel]
@@ -140,25 +157,32 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
             nb_i, p_i = rows[need], p[need]
             a[nb_i, k + 1, :], a[nb_i, p_i, :] = a[nb_i, p_i, :], a[nb_i, k + 1, :]
             a[nb_i, :, k + 1], a[nb_i, :, p_i] = a[nb_i, :, p_i], a[nb_i, :, k + 1]
+            u[nb_i, k + 1], u[nb_i, p_i] = u[nb_i, p_i], u[nb_i, k + 1]
             order[nb_i, k + 1], order[nb_i, p_i] = order[nb_i, p_i], order[nb_i, k + 1]
             sign[need] = -sign[need]
+        a[:, k:, k + 1] += (u[:, k:, :r] @ a[:, k + 1, k0:k, None])[..., 0]
         b = a[:, k, k + 1]
         pivots[:, k // 2] = safe = np.where(_l1_abs(b) < PIVOT_GUARD, 1.0, b)
-        if k + 2 < n:
-            c1, c2 = a[:, k + 2:, k], a[:, k + 2:, k + 1]
-            left = np.stack([c2, -c1], axis=-1) / safe[:, None, None]
-            a[:, k + 2:, k + 2:] += left @ np.stack([c1, c2], axis=1)
+        u[:, k + 2:, r] = a[:, k + 2:, k + 1] / safe[:, None]
+        u[:, k + 2:, r + 1] = a[:, k + 2:, k] / -safe[:, None]
+        e = k + 2
+        if e - k0 == 2 * PANEL_STEPS and e < n:
+            a[:, e:, e:] += u[:, e:] @ a[:, e:, k0:e].mT
     pf, expo = _product(pivots)
     pf *= np.where(alive, sign, 0.0)
     if rhs is None:
         return _ldexp(pf, expo)
-    # back-substitution through the 2x2 pivots [[0, b], [-b, 0]]
-    x = np.zeros((nb, n), dtype=complex)
+    # back-substitution through the 2x2 pivots [[0, b], [-b, 0]], reading
+    # the stored columns (row k is minus column k) and x's last entry -1
+    # for the border row
+    x = np.zeros((nb, n + 1), dtype=complex)
+    x[:, n] = -1.0
     for k in range(n - 2, -1, -2):
-        y = a[:, k:k + 2, n] - (a[:, k:k + 2, k + 2:n] * x[:, None, k + 2:]).sum(-1)
+        y = (x[:, None, k + 2:] @ a[:, k + 2:, k:k + 2])[:, 0]
         b = pivots[:, k // 2]
         x[:, k] = -y[:, 1] / b
         x[:, k + 1] = y[:, 0] / b
+    x = x[:, :n]
     x[~alive] = 0.0
     out = np.empty_like(x)
     out[rows[:, None], order] = x

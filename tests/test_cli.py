@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import isingring
+import isingring.even_observables as even_mod
 import isingring.simulate as simulate_mod
 from isingring import cli
 from isingring.cli import _float_list, _time_grid, main
@@ -246,12 +247,38 @@ def test_empty_site_list_is_a_usage_error(capsys):
     assert "argument --sites: expected at least one value" in capsys.readouterr().err
 
 
+def test_repeated_site_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["string-op", "--n-sites", "6", "--g", "1.0", "--t-max", "0.5",
+              "--sites", "1,1,2"])
+    assert err.value.code == 2
+    assert "argument --sites: site 1 is listed twice" in capsys.readouterr().err
+
+
 def test_time_grid_stops_at_t_max():
     np.testing.assert_allclose(_time_grid(0.0, 1.0, 0.6), [0.0, 0.6])
     # spans that are whole steps up to roundoff keep their last point
     assert _time_grid(0.0, 35.0, 0.05).size == 701
     assert _time_grid(0.1, 0.7, 0.1).size == 7
     assert _time_grid(0.3, 0.3, 0.1).size == 1
+
+
+@pytest.mark.parametrize("flag", ["--t-min", "--t-max", "--dt"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_time_grid_flag_is_refused(flag, value):
+    flags = {"--t-min": "0", "--t-max": "1", "--dt": "0.5", flag: value}
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", "--n-sites", "4", "--g", "1.0",
+              *(token for item in flags.items() for token in item)])
+    # a string code: the interpreter prints it and exits with status 1
+    assert err.value.code == f"error: {flag} must be finite"
+
+
+def test_non_finite_fit_window_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--n-sites", "6", "--g-list", "1.0", "--window", "1,inf"])
+    assert err.value.code == 2
+    assert "argument --window: bounds must be finite" in capsys.readouterr().err
 
 
 def test_evolve_rows_never_pass_t_max(tmp_path):
@@ -434,6 +461,27 @@ def test_limits_curves(tmp_path):
     assert columns == ["t", "sz", "cxx"]
     assert rows[0, 1] == pytest.approx(0.0, abs=1e-9)
     assert rows[0, 2] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_limits_runs_one_quadrature_per_time(tmp_path, monkeypatch):
+    # sz and cxx both read the quench integral I(g, t); it is computed once
+    def table(name, quantities):
+        out = tmp_path / name
+        assert main(["limits", "--g", "0.8", "--t-max", "1.0", "--dt", "0.25",
+                     "--quantities", quantities, "--out", str(out)]) == 0
+        return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+    calls = []
+    quad = even_mod._safe_quad
+    monkeypatch.setattr(even_mod, "_safe_quad", lambda *a: calls.append(a) or quad(*a))
+    even_mod._quench_integral.cache_clear()
+    both = table("both.csv", "sz,cxx")
+    assert len(calls) == 5
+    even_mod._quench_integral.cache_clear()
+    sz = table("sz.csv", "sz")
+    even_mod._quench_integral.cache_clear()
+    cxx = table("cxx.csv", "cxx")
+    assert both == [f"{a},{b.split(',')[1]}" for a, b in zip(sz, cxx)]
 
 
 @pytest.mark.parametrize("g", ["-1", "nan"])

@@ -264,3 +264,116 @@ class TestSkewMatrix:
     def test_rejects_odd_dim(self):
         with pytest.raises(ValueError, match="even"):
             pfaffian_batch(np.zeros((2, 3, 3)))
+
+
+# Panel boundaries: the elimination delays its rank-2 updates over
+# PANEL_STEPS pivot steps (2 * PANEL_STEPS columns) and applies them to the
+# trailing block at each panel's end, so sizes around 32 and 64 columns
+# exercise the first and second flush.
+PANEL_SIZES = [30, 32, 34, 64, 66, 98]
+
+
+def paired_skew(rng, n, size=3):
+    """Random skew stack whose (2i, 2i+1) entries dominate, so every pivot
+    stays in place unless a test plants a larger entry."""
+    stack = 0.01 * np.array([random_skew(rng, n) for _ in range(size)])
+    for i in range(0, n, 2):
+        stack[:, i, i + 1] += 10.0
+        stack[:, i + 1, i] -= 10.0
+    return stack
+
+
+def solve(stack, rhs):
+    """(Pfaffian, x) of pfaffian_batch with a right-hand side."""
+    mant, expo, x = pfaffian_batch(stack, rhs)
+    return mant * 2.0 ** expo, x
+
+
+def assert_pf_squared_is_det(pf, stack):
+    sign, logdet = np.linalg.slogdet(stack)
+    np.testing.assert_allclose(pf ** 2, sign * np.exp(logdet), rtol=1e-11)
+
+
+@pytest.mark.parametrize("n", PANEL_SIZES)
+@pytest.mark.parametrize("with_rhs", [False, True])
+def test_panel_sizes_match_determinant_and_solve(n, with_rhs):
+    rng = np.random.default_rng(200 + n)
+    stack = np.array([random_skew(rng, n) for _ in range(3)])
+    stack[0, 0, 1] = stack[0, 1, 0] = 0.0     # forces a pivot swap at step 0
+    if not with_rhs:
+        assert_pf_squared_is_det(pfaffian_batch(stack), stack)
+        return
+    rhs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    pf, x = solve(stack, rhs)
+    assert_pf_squared_is_det(pf, stack)
+    np.testing.assert_allclose(np.einsum("bij,bj->bi", stack, x), rhs, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [34, 64, 66, 98])
+def test_pivot_row_beyond_the_panel(n):
+    # step 0 must fetch row n-1 (past the first panel); from n = 66 on,
+    # step 34 must fetch row n-2 (past the second).  Moving those rows in
+    # place by hand is a product of transpositions, so the Pfaffian only
+    # changes sign with each and x is permuted along.
+    rng = np.random.default_rng(n)
+    stack = paired_skew(rng, n)
+    swaps = [(1, n - 1)] + ([(35, n - 2)] if n >= 66 else [])
+    for k, far in swaps:
+        stack[:, far, k - 1] = 100.0
+        stack[:, k - 1, far] = -100.0
+    rhs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    pf, x = solve(stack, rhs)
+    perm = np.arange(n)
+    for k, far in swaps:
+        perm[[k, far]] = perm[[far, k]]
+    in_place, y = solve(stack[:, perm][:, :, perm], rhs[:, perm])
+    np.testing.assert_allclose(pf, (-1) ** len(swaps) * in_place, rtol=1e-12)
+    np.testing.assert_allclose(x[:, perm], y, rtol=0, atol=1e-12)
+    assert_pf_squared_is_det(pf, stack)
+    np.testing.assert_allclose(np.einsum("bij,bj->bi", stack, x), rhs, rtol=0, atol=1e-11)
+
+
+def test_member_retired_in_the_second_panel():
+    # a zero row and column at index 40 leave column 40 empty at step 40,
+    # inside the second panel (columns 32-63)
+    rng = np.random.default_rng(66)
+    stack = paired_skew(rng, 66)
+    stack[1, 40, :] = stack[1, :, 40] = 0.0
+    rhs = rng.normal(size=(3, 66)) + 1j * rng.normal(size=(3, 66))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pf, x = solve(stack, rhs)
+    assert pf[1] == 0.0 and not x[1].any()
+    for i in (0, 2):
+        alone, y = solve(stack[i:i + 1], rhs[i:i + 1])
+        np.testing.assert_array_equal(pf[i], alone[0])
+        np.testing.assert_array_equal(x[i], y[0])
+    assert_pf_squared_is_det(pf[[0, 2]], stack[[0, 2]])
+
+
+def test_guard_warning_in_the_second_panel():
+    # row and column 40 scaled by 1e-305: step 40's pivot column is
+    # nonzero but below PIVOT_GUARD
+    rng = np.random.default_rng(67)
+    stack = paired_skew(rng, 66)
+    stack[1, 40, :] *= 1e-305
+    stack[1, :, 40] *= 1e-305
+    with pytest.warns(PfaffianConditionWarning):
+        got = pfaffian_batch(stack)
+    assert got[1] == 0.0
+    np.testing.assert_array_equal(got[[0, 2]], pfaffian_batch(stack[[0, 2]]))
+
+
+@pytest.mark.parametrize("n", PANEL_SIZES)
+def test_panel_sizes_are_bitwise_reproducible(n):
+    # the rhs border and the batch size never touch the bits of the result
+    rng = np.random.default_rng(300 + n)
+    stack = np.array([random_skew(rng, n) for _ in range(4)])
+    rhs = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    pf, x = solve(stack, rhs)
+    np.testing.assert_array_equal(pf, pfaffian_batch(stack))
+    for i in range(4):
+        alone, y = solve(stack[i:i + 1], rhs[i:i + 1])
+        np.testing.assert_array_equal(pf[i], alone[0])
+        np.testing.assert_array_equal(x[i], y[0])
+        np.testing.assert_array_equal(pfaffian_batch(stack[i:i + 1])[0], pf[i])
