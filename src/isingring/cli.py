@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -71,17 +71,23 @@ def _float_list(text: str) -> list[float]:
         if step <= 0:
             raise argparse.ArgumentTypeError("range step must be positive")
         start, step, stop = (Decimal(p.strip()) for p in bounds)
-        n = int((stop - start) // step)
+        try:
+            n = int((stop - start) // step)
+        except InvalidOperation:
+            raise argparse.ArgumentTypeError(f"range {text!r} has too many points") from None
         return _nonempty([float(start + i * step) for i in range(max(n, -1) + 1)])
     return _nonempty([float(p) for p in text.split(",") if p.strip()])
 
 
-def _site_list(text: str) -> list[int]:
-    sites = _nonempty([int(p) for p in text.split(",") if p.strip()])
-    repeated = next((s for i, s in enumerate(sites) if s in sites[:i]), None)
+def _unique(values: list, what: str) -> list:
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
     if repeated is not None:
-        raise argparse.ArgumentTypeError(f"site {repeated} is listed twice")
-    return sites
+        raise argparse.ArgumentTypeError(f"{what} {repeated} is listed twice")
+    return values
+
+
+def _site_list(text: str) -> list[int]:
+    return _unique(_nonempty([int(p) for p in text.split(",") if p.strip()]), "site")
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -105,8 +111,12 @@ def _time_grid(t_min: float, t_max: float, dt: float) -> np.ndarray:
     if t_max < t_min:
         raise SystemExit("error: --t-max must be >= --t-min")
     # whole steps only: the last point passes --t-max by roundoff at most
-    n = int(np.floor((t_max - t_min) / dt + 1e-9))
-    return t_min + dt * np.arange(n + 1)
+    steps = np.floor((t_max - t_min) / dt + 1e-9)
+    try:
+        return t_min + dt * np.arange(int(steps) + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise SystemExit(f"error: --t-min/--t-max/--dt give {steps + 1:.6g} time points, "
+                         "too many to hold") from None
 
 
 def _echo(value) -> str:
@@ -260,8 +270,8 @@ _SHARED_FLAGS = {
     "--t-min": dict(type=float, default=0.0),
     "--t-max": dict(type=float, required=True),
     "--dt": dict(type=float, default=0.05),
-    "--workers": dict(type=int, default=None,
-                      help="process pool size (default: ISINGRING_WORKERS or 1)"),
+    "--workers": dict(type=int, default=1,
+                      help="threads evaluating time blocks in this process (default 1)"),
     "--out": dict(default="-", help="CSV path, '-' for stdout"),
     "--json-out": dict(default=None, help="optional JSON mirror path"),
 }
@@ -318,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits", help="thermodynamic-limit curves")
     _add_shared(p, "--g", *_GRID, dt=0.1)
-    p.add_argument("--quantities", type=lambda s: s.split(","),
+    p.add_argument("--quantities", type=lambda s: _unique(s.split(","), "quantity"),
                    default=["sz", "cxx"],
                    help="comma list from sz,cxx,rho11")
     _add_shared(p, "--out", "--json-out")

@@ -77,7 +77,7 @@ from .model import EVEN, ODD, RELATIVE_PHASE, momentum_grids
 from .pfaffian import _ldexp, _product, pfaffian_batch
 
 #: Times per batch of the cross-parity evaluation; simulate uses it for
-#: its pool tasks.
+#: its evaluation blocks.
 EVAL_BLOCK = 16
 
 #: Bra pairs with |p_k| <= PAIR_TOL * max |p_k| stay in the reduced matrix.
@@ -185,28 +185,25 @@ class CrossParityKernel:
         pf_cdag = h @ self.fa_bra[:, cols]
         return pf_c, pf_cdag
 
-    def c_series(self, amps_pairs, sites=(1, 2)) -> np.ndarray:
-        """<c_j> along (even, odd) amplitude pairs, each holding one time or
-        a time grid, stacked in order; shape (times, sites).
+    def c_series(self, amps, sites=(1, 2)) -> np.ndarray:
+        """<c_j> along an (even, odd) amplitude pair holding one time or a
+        time grid; shape (times, sites).
 
-        The stacked times are evaluated EVAL_BLOCK at a time, each batch
-        one (EVAL_BLOCK, n, n) stack with one retained-pair set."""
+        The times are evaluated EVAL_BLOCK at a time, each batch one
+        (EVAL_BLOCK, n, n) stack with one retained-pair set."""
         sites = [int(s) for s in np.atleast_1d(sites)]
         if any(not 1 <= s <= self.n_sites for s in sites):
             raise ValueError(f"sites must lie in 1..{self.n_sites}, got {sites}")
-        expected = {EVEN: self.n_sites // 2, ODD: self.n_sites // 2 - 1}
-        for even, odd in amps_pairs:
-            if even.sector != EVEN or odd.sector != ODD:
-                raise ValueError("pass (even, odd) mode amplitudes in that order")
-            if not np.array_equal(even.time, odd.time):
-                raise ValueError(f"sector times differ: {even.time} vs {odd.time}")
-            if even.u.shape[-1] != expected[EVEN] or odd.u.shape[-1] != expected[ODD]:
-                raise ValueError("mode amplitudes do not match this ring size")
-        eu = np.concatenate([np.atleast_2d(e.u) for e, _ in amps_pairs])
-        ev = np.concatenate([np.atleast_2d(e.v) for e, _ in amps_pairs])
-        ou = np.concatenate([np.atleast_2d(o.u) for _, o in amps_pairs])
-        ov = np.concatenate([np.atleast_2d(o.v) for _, o in amps_pairs])
-        phase = np.concatenate([np.atleast_1d(o.phase) for _, o in amps_pairs])
+        even, odd = amps
+        if even.sector != EVEN or odd.sector != ODD:
+            raise ValueError("pass (even, odd) mode amplitudes in that order")
+        if not np.array_equal(even.time, odd.time):
+            raise ValueError(f"sector times differ: {even.time} vs {odd.time}")
+        n_pairs = self.n_sites // 2
+        if even.u.shape[-1] != n_pairs or odd.u.shape[-1] != n_pairs - 1:
+            raise ValueError("mode amplitudes do not match this ring size")
+        eu, ev, ou, ov = (np.atleast_2d(a) for a in (even.u, even.v, odd.u, odd.v))
+        phase = np.atleast_1d(odd.phase)
         blocks = [self._matrix_elements(eu[i:i + EVAL_BLOCK], ev[i:i + EVAL_BLOCK],
                                         ou[i:i + EVAL_BLOCK], ov[i:i + EVAL_BLOCK], sites)
                   for i in range(0, phase.size, EVAL_BLOCK)]
@@ -220,14 +217,14 @@ def _kernel(n_sites: int) -> CrossParityKernel:
     return CrossParityKernel(n_sites)
 
 
-def c_expectations_series(amps_pairs, n_sites: int, sites=(1, 2)) -> np.ndarray:
-    """<c_j> along a sequence of (even, odd) amplitude pairs, shape (T, S).
+def c_expectations_series(amps, n_sites: int, sites=(1, 2)) -> np.ndarray:
+    """<c_j> along an (even, odd) amplitude pair, shape (T, S).
 
     The one entry point to the odd path (cached kernel per ring size):
-    every parity-odd observable is read off these values.  A pair may hold
-    one time or a time grid; rows follow the pairs' times in order.
+    every parity-odd observable is read off these values.  The pair may
+    hold one time or a time grid; rows follow its times in order.
     """
-    return _kernel(int(n_sites)).c_series(list(amps_pairs), sites)
+    return _kernel(int(n_sites)).c_series(amps, sites)
 
 
 def longitudinal_magnetization(c1):

@@ -13,17 +13,17 @@ Pfaffian pass and one (T, 4, 4) RDM stack per block.  The partition
 depends only on the grid, never on the worker count: numpy picks
 different SIMD kernels for different stack shapes, and those can round
 an isolated multiply one ulp apart, so evaluating identical blocks
-serially or across a pool is what keeps emitted tables byte-reproducible.
-The worker count defaults to the ISINGRING_WORKERS environment variable,
-then to 1, and blocks are reassembled in grid order whatever the pool
-does.
+serially or on threads is what keeps emitted tables byte-reproducible.
+With several workers the blocks run on that many threads in this process,
+sharing its cached kernels and grids, and are reassembled in grid order;
+the BLAS thread count is the caller's to set.
 """
 
 from __future__ import annotations
 
-import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import Pool
+from functools import partial
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .odd_observables import (
     string_signs,
 )
 from .rdm import TwoSiteRDM, assemble_two_site, concurrence, pauli_correlation
-
-WORKER_ENV = "ISINGRING_WORKERS"
 
 SERIES_COLUMNS = ("t", "sx", "sy", "sz", "purity",
                   "czz", "cxx", "cxy", "cxz", "concurrence")
@@ -69,9 +67,9 @@ def series_columns(rho: TwoSiteRDM) -> np.ndarray:
     ], axis=-1)
 
 
-def _full_block(config: QuenchConfig, times, sites) -> np.ndarray:
+def _full_block(config: QuenchConfig, times) -> np.ndarray:
     even, odd = config.amplitudes(times)
-    c = c_expectations_series([(even, odd)], config.n_sites, (1, 2))
+    c = c_expectations_series((even, odd), config.n_sites, (1, 2))
     bad = np.argwhere(~np.isfinite(c))
     if bad.size:
         row, col = bad[0]
@@ -82,55 +80,50 @@ def _full_block(config: QuenchConfig, times, sites) -> np.ndarray:
     return series_columns(assemble_two_site(ev, *odd_rdm_entries(c1, c2)))
 
 
-def _string_block(config: QuenchConfig, times, sites) -> np.ndarray:
-    c = c_expectations_series([config.amplitudes(times)], config.n_sites, sites)
+def _string_block(config: QuenchConfig, sites, times) -> np.ndarray:
+    c = c_expectations_series(config.amplitudes(times), config.n_sites, sites)
     return string_signs(sites) * 2.0 * c.real
 
 
-def _order_block(config: QuenchConfig, times, sites) -> np.ndarray:
-    c1 = c_expectations_series([config.amplitudes(times)], config.n_sites, (1,))[:, 0]
+def _order_block(config: QuenchConfig, times) -> np.ndarray:
+    c1 = c_expectations_series(config.amplitudes(times), config.n_sites, (1,))[:, 0]
     return np.stack(longitudinal_magnetization(c1), axis=-1)
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Explicit count, else the ISINGRING_WORKERS variable, else 1."""
-    if workers is None:
-        workers = int(os.environ.get(WORKER_ENV, "1"))
+def resolve_workers(workers: int) -> int:
+    """The worker count, checked to be at least 1."""
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     return workers
 
 
-def _run(block_fn, config: QuenchConfig, names, sites, workers) -> ObservableSeries:
-    """Evaluate `block_fn` block by block; it must be module-level to pickle."""
+def _run(block, config: QuenchConfig, names, workers) -> ObservableSeries:
+    """Evaluate `block` (times -> rows) on each EVAL_BLOCK slice of the grid."""
     workers = resolve_workers(workers)
     times = config.time_grid
-    tasks = [(config, times[i:i + EVAL_BLOCK], sites)
-             for i in range(0, times.size, EVAL_BLOCK)]
-    if workers == 1 or len(tasks) == 1:
-        parts = [block_fn(*task) for task in tasks]
+    slices = [times[i:i + EVAL_BLOCK] for i in range(0, times.size, EVAL_BLOCK)]
+    if workers == 1 or len(slices) == 1:
+        parts = [block(part) for part in slices]
     else:
-        with Pool(processes=workers) as pool:
-            parts = pool.starmap(block_fn, tasks)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(block, slices))
     data = np.column_stack([times, np.concatenate(parts)])
     columns = {name: data[:, i].copy() for i, name in enumerate(names)}
     return ObservableSeries(config, columns)
 
 
-def compute_series(config: QuenchConfig, workers: int | None = None) -> ObservableSeries:
+def compute_series(config: QuenchConfig, workers: int = 1) -> ObservableSeries:
     """Full observable set along the configured time grid."""
-    return _run(_full_block, config, SERIES_COLUMNS, (), workers)
+    return _run(partial(_full_block, config), config, SERIES_COLUMNS, workers)
 
 
-def string_series(config: QuenchConfig, sites,
-                  workers: int | None = None) -> ObservableSeries:
+def string_series(config: QuenchConfig, sites, workers: int = 1) -> ObservableSeries:
     """<X_j> columns (named x{j}) for each site j in `sites`."""
     sites = tuple(int(s) for s in np.atleast_1d(sites))
     names = ("t", *(f"x{j}" for j in sites))
-    return _run(_string_block, config, names, sites, workers)
+    return _run(partial(_string_block, config, sites), config, names, workers)
 
 
-def order_parameter_series(config: QuenchConfig,
-                           workers: int | None = None) -> ObservableSeries:
+def order_parameter_series(config: QuenchConfig, workers: int = 1) -> ObservableSeries:
     """Only <sx>, <sy> of site 1, for decay and revival studies."""
-    return _run(_order_block, config, ("t", "sx", "sy"), (), workers)
+    return _run(partial(_order_block, config), config, ("t", "sx", "sy"), workers)

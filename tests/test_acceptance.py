@@ -69,7 +69,7 @@ def test_criterion_1_oracle_equivalence():
             series = compute_series(config)
             strings = string_series(config, sites)
             pairs = [config.amplitudes(float(t)) for t in grid]
-            c12 = c_expectations_series(pairs, n, (1, 2))
+            c12 = c_expectations_series(config.amplitudes(grid), n, (1, 2))
             oracle = quench_oracle(n, g)
             for i, t in enumerate(grid):
                 state = oracle.state(float(t))
@@ -259,9 +259,9 @@ def test_criterion_8_property_suites(tmp_path):
 
     # a quench RDM is a physical state and traces down consistently
     config = QuenchConfig(8, 1.3, np.array([0.0, 2.1]))
-    pairs = [config.amplitudes(2.1)]
-    (c1, c2), = c_expectations_series(pairs, 8, (1, 2))
-    ev = evaluate_even(*pairs[0], 8)
+    pair = config.amplitudes(2.1)
+    (c1, c2), = c_expectations_series(pair, 8, (1, 2))
+    ev = evaluate_even(*pair, 8)
     rho = assemble_two_site(ev, *odd_rdm_entries(c1, c2))
     eigs = np.linalg.eigvalsh(rho.matrix)
     sx, sy = longitudinal_magnetization(c1)

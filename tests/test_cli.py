@@ -206,6 +206,15 @@ def test_float_list_range_syntax():
     assert _float_list("0.3,1.5") == [0.3, 1.5]
 
 
+def test_uncountable_range_is_a_usage_error(capsys):
+    # 1e300 steps are more than decimal arithmetic can divide out
+    with pytest.raises(SystemExit) as err:
+        main(["sweep-g", "--n-sites", "4", "--g-list", "0:1e-300:1", "--t-max", "0"])
+    assert err.value.code == 2
+    assert ("argument --g-list: range '0:1e-300:1' has too many points"
+            in capsys.readouterr().err)
+
+
 def test_sweep_echoes_exact_range_fields(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep-g", "--n-sites", "4", "--g-list", "0.9:0.05:1.0",
@@ -272,6 +281,18 @@ def test_non_finite_time_grid_flag_is_refused(flag, value):
               *(token for item in flags.items() for token in item)])
     # a string code: the interpreter prints it and exits with status 1
     assert err.value.code == f"error: {flag} must be finite"
+
+
+@pytest.mark.parametrize("flags,points", [
+    (["--t-max", "1e300"], "2e+301"),
+    (["--t-max", "1e12", "--dt", "1e-3"], "1e+15"),
+])
+def test_huge_time_grid_is_refused(flags, points):
+    # numpy refuses both sizes before allocating anything
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", "--n-sites", "4", "--g", "1", *flags])
+    assert err.value.code == (f"error: --t-min/--t-max/--dt give {points} time points, "
+                              "too many to hold")
 
 
 def test_non_finite_fit_window_is_a_usage_error(capsys):
@@ -356,8 +377,8 @@ def test_non_finite_cell_is_refused(tmp_path, monkeypatch, capsys, command, seri
 def test_non_finite_c_stops_string_op_at_its_column(tmp_path, monkeypatch, capsys):
     kernel = simulate_mod.c_expectations_series
 
-    def poisoned(pairs, n_sites, sites):
-        c = kernel(pairs, n_sites, sites)
+    def poisoned(amps, n_sites, sites):
+        c = kernel(amps, n_sites, sites)
         c[1, 0] = np.nan
         return c
 
@@ -371,6 +392,28 @@ def test_non_finite_c_stops_string_op_at_its_column(tmp_path, monkeypatch, capsy
     assert main(["evolve", "--n-sites", "6", "--g", "1.0", "--t-max", "0.5",
                  "--dt", "0.25", "--out", str(out)]) == 1
     assert "<c_1> is not finite at t = 0.25" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_c_in_a_pooled_block_is_named(tmp_path, monkeypatch, capsys):
+    # 21 times make blocks t = 0..3.75 and 4..5; only the second, run on a
+    # worker thread, gets a NaN at its second time
+    kernel = simulate_mod.c_expectations_series
+
+    def poisoned(amps, n_sites, sites):
+        c = kernel(amps, n_sites, sites)
+        if amps[0].time[0] > 0:
+            c[1, 0] = np.nan
+        return c
+
+    monkeypatch.setattr(simulate_mod, "c_expectations_series", poisoned)
+    out = tmp_path / "strings.csv"
+    grid = ["--n-sites", "6", "--g", "1.0", "--t-max", "5", "--dt", "0.25",
+            "--workers", "2", "--out", str(out)]
+    assert main(["string-op", *grid, "--sites", "3"]) == 1
+    assert "column x3 is not finite at t = 4.25" in capsys.readouterr().err
+    assert main(["evolve", *grid]) == 1
+    assert "<c_1> is not finite at t = 4.25" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -439,7 +482,7 @@ def test_ed_check_fails_with_absurd_tolerance(capsys):
 def test_ed_check_fails_on_nan(monkeypatch, capsys):
     fast = cli.compute_series
 
-    def poisoned(config, workers=None):
+    def poisoned(config, workers=1):
         series = fast(config, workers)
         series.columns["cxy"][1] = np.nan
         return series
@@ -496,6 +539,13 @@ def test_limits_reports_unconverged_quadrature(capsys):
     assert main(["limits", "--g", "1", "--t-min", "5000", "--t-max", "5000",
                  "--quantities", "sz"]) == 1
     assert "error: quadrature did not converge" in capsys.readouterr().err
+
+
+def test_limits_rejects_repeated_quantity(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["limits", "--g", "1", "--t-max", "0.2", "--quantities", "sz,sz"])
+    assert err.value.code == 2
+    assert "argument --quantities: quantity sz is listed twice" in capsys.readouterr().err
 
 
 def test_limits_rejects_unknown_quantity():

@@ -75,7 +75,7 @@ def test_initial_mode_expectations(n):
     # <c_j> = <(sx_j + i sy_j)/2> = 1/2 on site 1's frame at t=0, and the
     # x-polarized product state makes every longer string average to zero;
     # exact at any N, so N=60 checks both inserted operators past ED reach
-    c = c_expectations_series([amps_at(n, 0.9, 0.0)], n, range(1, n + 1))[0]
+    c = c_expectations_series(amps_at(n, 0.9, 0.0), n, range(1, n + 1))[0]
     assert c[0] == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(c[1:], 0.0, atol=1e-12)
 
@@ -93,7 +93,7 @@ def test_mode_expectations_match_exact_diagonalization(n, g):
     oracle = quench_oracle(n, g)
     times = (0.37, 2.1)
     grid_pair = QuenchConfig(n, g, times).amplitudes(np.array(times))
-    for t, got in zip(times, c_expectations_series([grid_pair], n, range(1, n + 1))):
+    for t, got in zip(times, c_expectations_series(grid_pair, n, range(1, n + 1))):
         state = oracle.state(t)
         ref = np.array(
             [expectation(state, n, fermion_annihilation(j)) for j in range(1, n + 1)]
@@ -115,17 +115,15 @@ def test_string_signs_alternate():
 
 
 def test_series_equals_pointwise():
+    # one pair holding the whole grid gives each time's single-time values
     n, g = 10, 1.2
     times = [0.0, 0.4, 1.7, 3.3]
-    pairs = [amps_at(n, g, t) for t in times]
-    series = c_expectations_series(pairs, n, (1, 2, 5))
-    for row, pair in zip(series, pairs):
-        np.testing.assert_allclose(row, c_expectations_series([pair], n, (1, 2, 5))[0],
-                                   atol=1e-14)
-    # one pair holding the whole grid is the same as a pair per time
     grid_pair = QuenchConfig(n, g, times).amplitudes(np.array(times))
-    np.testing.assert_allclose(c_expectations_series([grid_pair], n, (1, 2, 5)),
-                               series, rtol=0, atol=1e-15)
+    series = c_expectations_series(grid_pair, n, (1, 2, 5))
+    assert series.shape == (4, 3)
+    for row, t in zip(series, times):
+        np.testing.assert_allclose(row, c_expectations_series(amps_at(n, g, t), n, (1, 2, 5))[0],
+                                   atol=1e-14)
 
 
 def test_time_batches_depend_on_the_grid_alone():
@@ -135,9 +133,9 @@ def test_time_batches_depend_on_the_grid_alone():
     times = np.linspace(0.05, 6.0, 40)
     even, odd = QuenchConfig(n, g, times).amplitudes(times)
     sites = (1, 2, 7, n)
-    whole = c_expectations_series([(even, odd)], n, sites)
+    whole = c_expectations_series((even, odd), n, sites)
     assert EVAL_BLOCK == 16
-    parts = [c_expectations_series([QuenchConfig(n, g, times[s]).amplitudes(times[s])],
+    parts = [c_expectations_series(QuenchConfig(n, g, times[s]).amplitudes(times[s]),
                                    n, sites)
              for s in (slice(0, 16), slice(16, 32), slice(32, 40))]
     np.testing.assert_array_equal(whole, np.concatenate(parts))
@@ -145,7 +143,7 @@ def test_time_batches_depend_on_the_grid_alone():
 
 def assert_n800_matches_n400(g):
     times = np.array([0.3, 0.4, 0.5])
-    c = {n: c_expectations_series([QuenchConfig(n, g, times).amplitudes(times)], n, (1, 2))
+    c = {n: c_expectations_series(QuenchConfig(n, g, times).amplitudes(times), n, (1, 2))
          for n in (400, 800)}
     assert np.isfinite(c[800]).all()
     np.testing.assert_allclose(c[800], c[400], rtol=0, atol=1e-10)
@@ -172,7 +170,7 @@ def test_schur_path_matches_dense_pfaffians(n, g):
     if g == 1.0:
         assert np.min(np.abs(pair[0].u)) < 1e-15
     sites = (1, 2, n // 3, n - 1, n)
-    got = c_expectations_series([pair], n, sites)
+    got = c_expectations_series(pair, n, sites)
     np.testing.assert_allclose(got, dense_c_expectations(n, *pair, sites), rtol=0, atol=1e-12)
 
 
@@ -187,9 +185,9 @@ def test_retained_pairs_do_not_change_values():
     assert small.any(axis=0).sum() >= 1
     assert not small[[0, 2, 3]].any()
     sites = range(1, n + 1)
-    block = c_expectations_series([(even, odd)], n, sites)
+    block = c_expectations_series((even, odd), n, sites)
     for row, t in zip(block, times):
-        np.testing.assert_allclose(row, c_expectations_series([amps_at(n, g, t)], n, sites)[0],
+        np.testing.assert_allclose(row, c_expectations_series(amps_at(n, g, t), n, sites)[0],
                                    rtol=0, atol=1e-13)
 
 
@@ -202,7 +200,7 @@ def test_order_parameter_squares_to_distant_correlator(n, g):
     r = n // 2
     times = np.linspace(0.0, r / (4.0 * 2.0 * min(g, 1.0)), 4)
     even, odd = QuenchConfig(n, g, times).amplitudes(times)
-    sx = 2.0 * c_expectations_series([(even, odd)], n, (1,))[:, 0].real
+    sx = 2.0 * c_expectations_series((even, odd), n, (1,))[:, 0].real
     gap = np.abs(xx_correlator(even, odd, n, r) - sx**2) / sx**2
     assert gap.max() <= 1e-10
 
@@ -211,10 +209,10 @@ def test_cross_parity_amplitude_single_site():
     # a site asked for alone gets the value it has among others
     n, g, t = 6, 1.1, 0.9
     pair = amps_at(n, g, t)
-    c2 = c_expectations_series([pair], n, 2)
+    c2 = c_expectations_series(pair, n, 2)
     assert c2.shape == (1, 1)
     assert complex(c2[0, 0]) == pytest.approx(
-        complex(c_expectations_series([pair], n, (1, 2, 5))[0, 1]))
+        complex(c_expectations_series(pair, n, (1, 2, 5))[0, 1]))
 
 
 def test_mode_expectation_magnitude_bounded():
@@ -225,7 +223,7 @@ def test_mode_expectation_magnitude_bounded():
         n = int(rng.choice([6, 10, 16]))
         g = float(rng.uniform(0.1, 3.0))
         t = float(rng.uniform(0.0, 8.0))
-        c = c_expectations_series([amps_at(n, g, t)], n, (1,))
+        c = c_expectations_series(amps_at(n, g, t), n, (1,))
         assert abs(c[0, 0]) <= 0.5 + 1e-9
 
 
@@ -239,22 +237,22 @@ class TestValidation:
     def test_wrong_sector_order(self):
         even, odd = amps_at(6, 1.0, 0.5)
         with pytest.raises(ValueError, match="order"):
-            c_expectations_series([(odd, even)], 6, (1,))
+            c_expectations_series((odd, even), 6, (1,))
 
     def test_mismatched_times(self):
         even, _ = amps_at(6, 1.0, 0.5)
         _, odd = amps_at(6, 1.0, 0.7)
         with pytest.raises(ValueError, match="times differ"):
-            c_expectations_series([(even, odd)], 6, (1,))
+            c_expectations_series((even, odd), 6, (1,))
 
     def test_mismatched_ring_size(self):
         even, odd = amps_at(8, 1.0, 0.5)
         with pytest.raises(ValueError, match="ring size"):
-            c_expectations_series([(even, odd)], 6, (1,))
+            c_expectations_series((even, odd), 6, (1,))
 
     def test_site_out_of_range(self):
         even, odd = amps_at(6, 1.0, 0.5)
         with pytest.raises(ValueError, match="sites"):
-            c_expectations_series([(even, odd)], 6, (0,))
+            c_expectations_series((even, odd), 6, (0,))
         with pytest.raises(ValueError, match="sites"):
-            c_expectations_series([(even, odd)], 6, (7,))
+            c_expectations_series((even, odd), 6, (7,))

@@ -26,7 +26,7 @@ def random_density_matrix(rng, rank=4):
 def quench_rdm(n, g, t):
     cfg = QuenchConfig(n, g, [max(t, 0.0)])
     even, odd = cfg.amplitudes(t)
-    c1, c2 = c_expectations_series([(even, odd)], n, (1, 2))[0]
+    c1, c2 = c_expectations_series((even, odd), n, (1, 2))[0]
     return assemble_two_site(evaluate_even(even, odd, n), *odd_rdm_entries(c1, c2))
 
 

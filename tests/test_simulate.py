@@ -1,7 +1,12 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
-from isingring.model import QuenchConfig
+from isingring import simulate
+from isingring.model import QuenchConfig, momentum_grids
+from isingring.odd_observables import _kernel
 from isingring.simulate import (
     SERIES_COLUMNS,
     compute_series,
@@ -83,19 +88,39 @@ def test_times_property():
     np.testing.assert_array_equal(series.times, cfg.time_grid)
 
 
+def test_worker_threads_run_every_block_in_this_process(monkeypatch):
+    # 37 times make three evaluation blocks; each block's odd-path call
+    # must run here, not in a child whose records would be lost
+    kernel = simulate.c_expectations_series
+    calls = []
+
+    def recording(amps, n_sites, sites):
+        calls.append(os.getpid())
+        return kernel(amps, n_sites, sites)
+
+    monkeypatch.setattr(simulate, "c_expectations_series", recording)
+    compute_series(small_config(points=37), workers=2)
+    assert calls == [os.getpid()] * 3
+
+
+def test_threads_building_shared_caches_reproduce_serial_rows():
+    # more threads than blocks' worth of cores, switching often, while the
+    # per-ring-size kernel and momentum grids are built concurrently
+    cfg = QuenchConfig(14, 0.8, np.linspace(0.0, 6.0, 80))
+    serial = compute_series(cfg, workers=1)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        _kernel.cache_clear()
+        momentum_grids.cache_clear()
+        pooled = compute_series(cfg, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in SERIES_COLUMNS:
+        np.testing.assert_array_equal(serial.column(name), pooled.column(name))
+
+
 class TestResolveWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("ISINGRING_WORKERS", "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("ISINGRING_WORKERS", "5")
-        assert resolve_workers(None) == 5
-
-    def test_default_single(self, monkeypatch):
-        monkeypatch.delenv("ISINGRING_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             resolve_workers(0)
