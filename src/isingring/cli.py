@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from decimal import Decimal, InvalidOperation
 
@@ -288,8 +289,18 @@ def _add_shared(p, *flags, **defaults) -> None:
         p.add_argument(flag, **spec)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads any token starting '-<digit>' or
+    '-.<digit>' (-1e3, -1,5, -.5:0.1:1) as a value, not an option; no
+    option here looks like that.  Subcommand parsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isingring",
         description="Exact quench dynamics of the transverse-field Ising ring",
     )

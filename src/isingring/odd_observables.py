@@ -57,9 +57,12 @@ pairs whose |p_k| falls below PAIR_TOL times the largest one at any time
 of the evaluated batch are therefore kept in the reduced matrix instead
 of being eliminated, where the pivoted elimination handles them; every
 time of a batch shares that retained set, so the stack has one shape.
-A batch is EVAL_BLOCK consecutive times of the grid a call is given, so
-which times share a batch, and with it the low bits of every value,
-depends on that grid alone.
+A batch is block_times(N) consecutive times of the grid a call is given,
+sized so the batch's stack holds about 2^16 matrix entries: 16 times on
+rings of N >= 64, hundreds on the smallest, whose per-step numpy
+overhead would otherwise dwarf their arithmetic.  Which times share a
+batch, and with it the low bits of every value, thus depends on that
+grid and N alone.
 
 Pf(A) and Pf(M) each grow or shrink geometrically with N and leave
 double range near N = 800, while their product, the O(1) matrix
@@ -69,6 +72,7 @@ and meet before the one rescaling of w.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -76,15 +80,18 @@ import numpy as np
 from .model import EVEN, ODD, RELATIVE_PHASE, momentum_grids
 from .pfaffian import _ldexp, _product, pfaffian_batch
 
-#: Times per batch of the cross-parity evaluation; simulate uses it for
-#: its evaluation blocks.
-EVAL_BLOCK = 16
-
 #: Bra pairs with |p_k| <= PAIR_TOL * max |p_k| stay in the reduced matrix.
 PAIR_TOL = 1e-3
 
 #: Golden-ratio phases of the fixed reference border row.
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def block_times(n_sites: int) -> int:
+    """Times per batch of the cross-parity evaluation on an N-site ring:
+    a (T, N, N) stack of about 2^16 entries, and at least 16 times;
+    simulate uses it for its evaluation blocks."""
+    return max(16, 2**16 // n_sites**2)
 
 
 class CrossParityKernel:
@@ -189,8 +196,8 @@ class CrossParityKernel:
         """<c_j> along an (even, odd) amplitude pair holding one time or a
         time grid; shape (times, sites).
 
-        The times are evaluated EVAL_BLOCK at a time, each batch one
-        (EVAL_BLOCK, n, n) stack with one retained-pair set."""
+        The times are evaluated block_times(N) at a time, each batch one
+        (block_times(N), n, n) stack with one retained-pair set."""
         sites = [int(s) for s in np.atleast_1d(sites)]
         if any(not 1 <= s <= self.n_sites for s in sites):
             raise ValueError(f"sites must lie in 1..{self.n_sites}, got {sites}")
@@ -204,9 +211,10 @@ class CrossParityKernel:
             raise ValueError("mode amplitudes do not match this ring size")
         eu, ev, ou, ov = (np.atleast_2d(a) for a in (even.u, even.v, odd.u, odd.v))
         phase = np.atleast_1d(odd.phase)
-        blocks = [self._matrix_elements(eu[i:i + EVAL_BLOCK], ev[i:i + EVAL_BLOCK],
-                                        ou[i:i + EVAL_BLOCK], ov[i:i + EVAL_BLOCK], sites)
-                  for i in range(0, phase.size, EVAL_BLOCK)]
+        step = block_times(self.n_sites)
+        blocks = [self._matrix_elements(eu[i:i + step], ev[i:i + step],
+                                        ou[i:i + step], ov[i:i + step], sites)
+                  for i in range(0, phase.size, step)]
         pf_c, pf_cdag = (np.concatenate(part) for part in zip(*blocks))
         w = (RELATIVE_PHASE * phase)[:, None]
         return 0.5 * (w * pf_c + np.conj(w * pf_cdag))
@@ -217,6 +225,10 @@ def _kernel(n_sites: int) -> CrossParityKernel:
     return CrossParityKernel(n_sites)
 
 
+#: Held around `_kernel` lookups, so threads that miss together build once.
+_KERNEL_LOCK = threading.Lock()
+
+
 def c_expectations_series(amps, n_sites: int, sites=(1, 2)) -> np.ndarray:
     """<c_j> along an (even, odd) amplitude pair, shape (T, S).
 
@@ -224,7 +236,9 @@ def c_expectations_series(amps, n_sites: int, sites=(1, 2)) -> np.ndarray:
     every parity-odd observable is read off these values.  The pair may
     hold one time or a time grid; rows follow its times in order.
     """
-    return _kernel(int(n_sites)).c_series(amps, sites)
+    with _KERNEL_LOCK:
+        kernel = _kernel(int(n_sites))
+    return kernel.c_series(amps, sites)
 
 
 def longitudinal_magnetization(c1):

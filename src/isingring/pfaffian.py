@@ -132,7 +132,8 @@ def pfaffian_batch(mats: np.ndarray, rhs: np.ndarray | None = None):
     alive = np.ones(nb, dtype=bool)
     sign = np.ones(nb)
     pivots = np.ones((nb, n // 2), dtype=complex)
-    u = np.empty((nb, dim, 2 * PANEL_STEPS), dtype=complex)   # open panel's [c2, -c1]/b
+    # the open panel's [c2, -c1]/b, no wider than the matrix
+    u = np.empty((nb, dim, min(2 * PANEL_STEPS, n)), dtype=complex)
     for k in range(0, n, 2):
         k0 = k - k % (2 * PANEL_STEPS)
         r = k - k0

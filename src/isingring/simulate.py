@@ -6,17 +6,17 @@ Pauli correlators and the concurrence.  `string_series` evaluates the
 dressed string operators <X_j> on a list of sites, and
 `order_parameter_series` is a lean path that only computes <sx>, <sy>.
 
-The time grid is cut into fixed-size blocks of EVAL_BLOCK points, the
-cross-parity kernel's own batch, each
-evaluated as arrays along its time axis: one amplitude set, one batched
-Pfaffian pass and one (T, 4, 4) RDM stack per block.  The partition
-depends only on the grid, never on the worker count: numpy picks
-different SIMD kernels for different stack shapes, and those can round
-an isolated multiply one ulp apart, so evaluating identical blocks
-serially or on threads is what keeps emitted tables byte-reproducible.
-With several workers the blocks run on that many threads in this process,
-sharing its cached kernels and grids, and are reassembled in grid order;
-the BLAS thread count is the caller's to set.
+The time grid is cut into blocks of block_times(N) points, the
+cross-parity kernel's own batch (16 on rings of N >= 64, hundreds on
+small ones), each evaluated as arrays along its time axis: one amplitude
+set, one batched Pfaffian pass and one (T, 4, 4) RDM stack per block.
+The partition depends only on the grid and N, never on the worker count:
+numpy picks different SIMD kernels for different stack shapes, and those
+can round an isolated multiply one ulp apart, so evaluating identical
+blocks serially or on threads is what keeps emitted tables
+byte-reproducible.  With several workers the blocks run on that many
+threads in this process, sharing its cached kernels and grids, and are
+reassembled in grid order; the BLAS thread count is the caller's to set.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .even_observables import evaluate_even
 from .model import QuenchConfig
 from .odd_observables import (
-    EVAL_BLOCK,
+    block_times,
     c_expectations_series,
     longitudinal_magnetization,
     odd_rdm_entries,
@@ -98,10 +98,11 @@ def resolve_workers(workers: int) -> int:
 
 
 def _run(block, config: QuenchConfig, names, workers) -> ObservableSeries:
-    """Evaluate `block` (times -> rows) on each EVAL_BLOCK slice of the grid."""
+    """Evaluate `block` (times -> rows) on each block_times(N) slice of the grid."""
     workers = resolve_workers(workers)
     times = config.time_grid
-    slices = [times[i:i + EVAL_BLOCK] for i in range(0, times.size, EVAL_BLOCK)]
+    step = block_times(config.n_sites)
+    slices = [times[i:i + step] for i in range(0, times.size, step)]
     if workers == 1 or len(slices) == 1:
         parts = [block(part) for part in slices]
     else:

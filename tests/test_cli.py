@@ -62,6 +62,18 @@ def test_worker_count_never_reaches_the_file(tmp_path):
     assert b"workers" not in serial
 
 
+def test_long_small_ring_grid_is_the_same_on_any_worker_count(tmp_path):
+    # 2000 rows at N=10 make four evaluation blocks of block_times(10)
+    argv = ["evolve", "--n-sites", "10", "--g", "1.0", "--t-max", "99.95", "--dt", "0.05"]
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main([*argv, "--workers", workers, "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    assert len(parse_csv(tables[0].decode())[2]) == 2000
+
+
 def test_blas_thread_count_never_reaches_the_file():
     src = str(Path(isingring.__file__).resolve().parents[1])
     argv = [sys.executable, "-m", "isingring.cli", "evolve", "--n-sites", "100",
@@ -295,6 +307,28 @@ def test_huge_time_grid_is_refused(flags, points):
                               "too many to hold")
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["evolve", "--n-sites", "4", "--g", "1", "--t-min", "-1e3", "--t-max", "1"], 1,
+     "error: time_grid must be non-negative"),
+    (["evolve", "--n-sites", "4", "--g", "-1e0", "--t-max", "1"], 1,
+     "error: field_g must be finite and >= 0"),
+    (["sweep-g", "--n-sites", "4", "--g-list", "-1e0,2", "--t-max", "1"], 1,
+     "error: field_g must be finite and >= 0"),
+    (["fit", "--n-sites", "6", "--g-list", "0.5", "--window", "-1e0,5"], 2,
+     "argument --window: need 0 <= lo < hi"),
+])
+def test_negative_flag_value_is_read_as_a_number(argv, code, message, capsys):
+    # '-1e3' after a flag is its value, so the value's own check speaks,
+    # not argparse's "expected one argument"
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    err_text = capsys.readouterr().err
+    assert status == code
+    assert message in err_text and "expected one argument" not in err_text
+
+
 def test_non_finite_fit_window_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["fit", "--n-sites", "6", "--g-list", "1.0", "--window", "1,inf"])
@@ -396,8 +430,9 @@ def test_non_finite_c_stops_string_op_at_its_column(tmp_path, monkeypatch, capsy
 
 
 def test_non_finite_c_in_a_pooled_block_is_named(tmp_path, monkeypatch, capsys):
-    # 21 times make blocks t = 0..3.75 and 4..5; only the second, run on a
-    # worker thread, gets a NaN at its second time
+    # on a ring of N >= 64, 21 times make 16-time blocks t = 0..3.75 and
+    # 4..5; only the second, run on a worker thread, gets a NaN at its
+    # second time
     kernel = simulate_mod.c_expectations_series
 
     def poisoned(amps, n_sites, sites):
@@ -408,7 +443,7 @@ def test_non_finite_c_in_a_pooled_block_is_named(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(simulate_mod, "c_expectations_series", poisoned)
     out = tmp_path / "strings.csv"
-    grid = ["--n-sites", "6", "--g", "1.0", "--t-max", "5", "--dt", "0.25",
+    grid = ["--n-sites", "64", "--g", "1.0", "--t-max", "5", "--dt", "0.25",
             "--workers", "2", "--out", str(out)]
     assert main(["string-op", *grid, "--sites", "3"]) == 1
     assert "column x3 is not finite at t = 4.25" in capsys.readouterr().err

@@ -5,8 +5,8 @@ from isingring.ed_oracle import expectation, fermion_annihilation, quench_oracle
 from isingring.even_observables import xx_correlator
 from isingring.model import RELATIVE_PHASE, QuenchConfig, dispersion, momentum_grids
 from isingring.odd_observables import (
-    EVAL_BLOCK,
     PAIR_TOL,
+    block_times,
     c_expectations_series,
     longitudinal_magnetization,
     odd_rdm_entries,
@@ -127,18 +127,27 @@ def test_series_equals_pointwise():
 
 
 def test_time_batches_depend_on_the_grid_alone():
-    # 40 times run as EVAL_BLOCK batches of 16, 16 and 8: the same bits as
-    # calling those three slices one by one
+    # 2 * block_times(n) + 8 times run as batches of block_times(n),
+    # block_times(n) and 8: the same bits as calling those three slices one by one
     n, g = 20, 1.0
-    times = np.linspace(0.05, 6.0, 40)
+    step = block_times(n)
+    times = np.linspace(0.05, 6.0, 2 * step + 8)
     even, odd = QuenchConfig(n, g, times).amplitudes(times)
     sites = (1, 2, 7, n)
     whole = c_expectations_series((even, odd), n, sites)
-    assert EVAL_BLOCK == 16
     parts = [c_expectations_series(QuenchConfig(n, g, times[s]).amplitudes(times[s]),
                                    n, sites)
-             for s in (slice(0, 16), slice(16, 32), slice(32, 40))]
+             for s in (slice(0, step), slice(step, 2 * step), slice(2 * step, None))]
     np.testing.assert_array_equal(whole, np.concatenate(parts))
+
+
+def test_block_times_hold_about_2_16_matrix_entries():
+    # rings of N >= 64 keep 16 times per batch; smaller rings batch more
+    # times, never fewer than 16
+    assert [block_times(n) for n in (64, 100, 200, 400, 800)] == [16] * 5
+    assert [block_times(n) for n in (60, 20, 12, 10, 4)] == [18, 163, 455, 655, 4096]
+    for n in range(4, 64, 2):
+        assert 16 <= block_times(n) and block_times(n) * n * n <= 2**16
 
 
 def assert_n800_matches_n400(g):

@@ -1,12 +1,13 @@
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from isingring import simulate
+from isingring import odd_observables, simulate
 from isingring.model import QuenchConfig, momentum_grids
-from isingring.odd_observables import _kernel
+from isingring.odd_observables import _kernel, block_times
 from isingring.simulate import (
     SERIES_COLUMNS,
     compute_series,
@@ -58,7 +59,7 @@ def test_initial_row_is_polarized_product_state():
 
 def test_worker_pool_reproduces_serial_rows():
     # enough points for several evaluation blocks, so the pool really runs
-    cfg = small_config(points=37)
+    cfg = small_config(points=2 * block_times(6) + 5)
     serial = compute_series(cfg, workers=1)
     pooled = compute_series(cfg, workers=2)
     for name in SERIES_COLUMNS:
@@ -89,8 +90,9 @@ def test_times_property():
 
 
 def test_worker_threads_run_every_block_in_this_process(monkeypatch):
-    # 37 times make three evaluation blocks; each block's odd-path call
-    # must run here, not in a child whose records would be lost
+    # 2 * block_times(6) + 5 times make three evaluation blocks; each
+    # block's odd-path call must run here, not in a child whose records
+    # would be lost
     kernel = simulate.c_expectations_series
     calls = []
 
@@ -99,14 +101,14 @@ def test_worker_threads_run_every_block_in_this_process(monkeypatch):
         return kernel(amps, n_sites, sites)
 
     monkeypatch.setattr(simulate, "c_expectations_series", recording)
-    compute_series(small_config(points=37), workers=2)
+    compute_series(small_config(points=2 * block_times(6) + 5), workers=2)
     assert calls == [os.getpid()] * 3
 
 
 def test_threads_building_shared_caches_reproduce_serial_rows():
     # more threads than blocks' worth of cores, switching often, while the
     # per-ring-size kernel and momentum grids are built concurrently
-    cfg = QuenchConfig(14, 0.8, np.linspace(0.0, 6.0, 80))
+    cfg = QuenchConfig(14, 0.8, np.linspace(0.0, 6.0, 4 * block_times(14) + 16))
     serial = compute_series(cfg, workers=1)
     interval = sys.getswitchinterval()
     try:
@@ -118,6 +120,24 @@ def test_threads_building_shared_caches_reproduce_serial_rows():
         sys.setswitchinterval(interval)
     for name in SERIES_COLUMNS:
         np.testing.assert_array_equal(serial.column(name), pooled.column(name))
+
+
+def test_threads_missing_the_kernel_cache_together_build_it_once(monkeypatch):
+    # three 16-time blocks on two threads, on a cold kernel cache; the slow
+    # build keeps the first thread inside it while the second one misses
+    init = odd_observables.CrossParityKernel.__init__
+    built = []
+
+    def slow_init(self, n_sites):
+        built.append(n_sites)
+        time.sleep(0.05)
+        init(self, n_sites)
+
+    monkeypatch.setattr(odd_observables.CrossParityKernel, "__init__", slow_init)
+    _kernel.cache_clear()
+    cfg = QuenchConfig(64, 1.0, np.linspace(0.0, 2.0, 3 * block_times(64)))
+    compute_series(cfg, workers=2)
+    assert built == [64]
 
 
 class TestResolveWorkers:
